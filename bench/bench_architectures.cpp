@@ -126,32 +126,6 @@ int main() {
                                       64.0 * results.size(),
                                   0),
                  util::Table::num(cf_query_ms, 3), "no (until matched)"});
-  // Content-free again on the sharded backend: identical traffic (the
-  // architecture is the same), query compute re-measured to show the
-  // per-query cost of visiting K shard R-trees stays in the same class.
-  {
-    net::CloudServer sharded_server(
-        net::ServerIndexConfig(net::ServerIndexConfig::Backend::kSharded, 8),
-        {.camera = cam,
-         .orientation_slack_deg = 10.0,
-         .orientation_filter = true,
-         .top_n = 10,
-         .box_expansion = 0.0});
-    for (const auto& s : sessions) {
-      net::MobileClient client(s.video_id, model, {0.5});
-      sharded_server.ingest(net::capture_session(client, s.records));
-    }
-    util::Stopwatch ssw;
-    const auto sharded_results = sharded_server.search(q);
-    const double sharded_query_ms = ssw.elapsed_ms();
-    table.add_row(
-        {"content-free (sharded index, K=8)",
-         util::Table::num(static_cast<double>(descriptor_bytes), 0),
-         util::Table::num(static_cast<double>(query_bytes.size()) +
-                              64.0 * sharded_results.size(),
-                          0),
-         util::Table::num(sharded_query_ms, 3), "no (until matched)"});
-  }
   // Content-free with durable ingest: same architecture plus a write-ahead
   // log (fsync=batch, the production default) in front of the index — the
   // traffic columns are unchanged, the query cost shows durability is free

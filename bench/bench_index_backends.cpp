@@ -1,9 +1,9 @@
 // Extended Fig. 6(c) ablation — the index backends on identical citywide
 // workloads: the paper's R-tree (dynamic and STR bulk-loaded), the naive
 // linear scan, a uniform grid (the GRVS/GeoTree family of related work), a
-// static kd-tree over (lng, lat, t_start), the sharded R-tree, and the
-// tiered memtable+runs backend (both freshly ingested — many small runs —
-// and fully compacted). Reports build time, per-query latency, and hits.
+// static kd-tree over (lng, lat, t_start), and the server's tiered
+// memtable+runs index (both freshly ingested — many small runs — and fully
+// compacted). Reports build time, per-query latency, and hits.
 //
 // Flags:
 //   --scale N   corpus multiplier over the 30k base (default 10 → 300k
@@ -12,10 +12,10 @@
 //               measures memory bandwidth, at length.
 //   --json      machine-readable output (the generator for
 //               BENCH_tiered.json)
-//   --gate      exit 1 unless the compacted tiered backend's query p99
-//               strictly beats the sharded backend's (best of --attempts
-//               passes each, default 3 — one noisy scheduler quantum must
-//               not fail CI)
+//   --gate      exit 1 unless the compacted tiered index's query p99
+//               strictly beats the paper's dynamic R-tree's (best of
+//               --attempts passes each, default 3 — one noisy scheduler
+//               quantum must not fail CI)
 //   --queries N number of query rectangles (default 400)
 
 #include <algorithm>
@@ -28,7 +28,6 @@
 #include "index/fov_index.hpp"
 #include "index/grid_index.hpp"
 #include "index/kdtree_index.hpp"
-#include "index/sharded_fov_index.hpp"
 #include "index/tiered_fov_index.hpp"
 #include "sim/crowd.hpp"
 #include "util/stats.hpp"
@@ -176,15 +175,6 @@ int main(int argc, char** argv) {
     bench(kd, "kd-tree (static, t_start)", sw.elapsed_ms());
   }
   {
-    // Single-threaded view of the sharded backend: measures the pure cost
-    // of visiting K R-trees per query (its win — lock independence under
-    // mixed load — is bench_index_contention's subject).
-    index::ShardedFovIndex sharded({.shards = 8});
-    util::Stopwatch sw;
-    sharded.insert_batch(reps);
-    bench(sharded, "sharded R-tree (8 shards)", sw.elapsed_ms());
-  }
-  {
     // Fresh ingest: the run list as a live server would hold it right
     // after an upload storm — many memtable-sized sealed runs, none
     // merged. This is the tiered backend's worst query-side shape.
@@ -222,14 +212,13 @@ int main(int argc, char** argv) {
     }
     table.print(std::cout);
     std::cout << "\nReading: every structured index beats the linear scan "
-                 "by orders of magnitude. The compacted tiered backend "
+                 "by orders of magnitude. The compacted tiered index "
                  "pairs STR packing with columnar leaf scans, so its query "
-                 "tail undercuts the per-shard tree walks of the sharded "
-                 "backend; fresh (uncompacted) runs show the query-side "
-                 "price compaction exists to pay down. The grid and "
-                 "kd-tree stay competitive on uniform workloads but are "
-                 "static or skew-fragile — see docs/PERFORMANCE.md for "
-                 "when to pick which backend.\n";
+                 "tail undercuts the pointer-chasing walk of the paper's "
+                 "dynamic R-tree; fresh (uncompacted) runs show the "
+                 "query-side price compaction exists to pay down. The grid "
+                 "and kd-tree stay competitive on uniform workloads but are "
+                 "static or skew-fragile (docs/PERFORMANCE.md).\n";
   }
 
   if (opt.gate) {
@@ -240,15 +229,17 @@ int main(int argc, char** argv) {
       return nullptr;
     };
     const Row* tiered = find("tiered (compacted)");
-    const Row* sharded = find("sharded R-tree (8 shards)");
-    if (tiered == nullptr || sharded == nullptr) {
+    const Row* rtree = find("R-tree (paper, dynamic)");
+    if (tiered == nullptr || rtree == nullptr) {
       std::cerr << "gate: missing backend rows\n";
       return 1;
     }
     std::cerr << "gate: tiered(compacted) p99 " << tiered->query_p99_us
-              << " us vs sharded p99 " << sharded->query_p99_us << " us\n";
-    if (!(tiered->query_p99_us < sharded->query_p99_us)) {
-      std::cerr << "gate: FAIL — tiered must strictly beat sharded\n";
+              << " us vs R-tree (paper, dynamic) p99 "
+              << rtree->query_p99_us << " us\n";
+    if (!(tiered->query_p99_us < rtree->query_p99_us)) {
+      std::cerr << "gate: FAIL — tiered must strictly beat the paper's "
+                   "R-tree\n";
       return 1;
     }
     std::cerr << "gate: PASS\n";

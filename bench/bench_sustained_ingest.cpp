@@ -5,18 +5,16 @@
 // O(1) buffer swaps, while sorting and packing run on immutable sealed
 // data outside it.
 //
-// Methodology (same open-loop discipline as bench_index_contention):
+// Methodology (open loop):
 //   * One paced writer drives upload bursts (insert_batch of --burst
 //     segments) at a fixed offered rate; latency is measured from the
 //     *scheduled* arrival, so any queueing behind a seal or a compaction
 //     swap is charged to the tail (coordinated-omission corrected).
 //   * Paced readers run the mixed query set concurrently — a compaction
 //     that stalled queries would be invisible to a writer-only bench.
-//   * The tiered backend runs its background compactor on a tight cadence
+//   * The index runs its background compactor on a tight cadence
 //     (--compact-ms, default 25), so the measured window genuinely
 //     contains seal + compact cycles; the run reports how many.
-//   * The single-lock backend runs the same schedule as the contrast: its
-//     ingest cost IS on the query path.
 //
 // Flags: --seconds N (default 3) --burst N (default 2048) --corpus N
 // (default 100000) --compact-ms N (default 25) --json (generator for the
@@ -109,13 +107,12 @@ struct CellResult {
   std::uint64_t seals = 0, compactions = 0;
 };
 
-template <typename Index>
-CellResult run_cell(Index& idx, const char* backend,
+CellResult run_cell(index::TieredFovIndex& idx,
                     const std::vector<index::GeoTimeRange>& queries,
                     const Options& opt, double bursts_per_s,
                     double reads_per_s) {
   CellResult res;
-  res.backend = backend;
+  res.backend = "tiered";
   res.offered_bursts_per_s = bursts_per_s;
 
   std::vector<std::uint64_t> ingest_lat;
@@ -195,21 +192,10 @@ CellResult run_tiered(const std::vector<core::RepresentativeFov>& corpus,
   const auto& cm = obs::index_compaction_metrics();
   const auto seals0 = rm.seals.value();
   const auto compactions0 = cm.compactions.value();
-  auto res =
-      run_cell(idx, "tiered", queries, opt, bursts_per_s, reads_per_s);
+  auto res = run_cell(idx, queries, opt, bursts_per_s, reads_per_s);
   res.seals = rm.seals.value() - seals0;
   res.compactions = cm.compactions.value() - compactions0;
   return res;
-}
-
-CellResult run_single(const std::vector<core::RepresentativeFov>& corpus,
-                      const std::vector<index::GeoTimeRange>& queries,
-                      const Options& opt, double bursts_per_s,
-                      double reads_per_s) {
-  index::ConcurrentFovIndex idx;
-  idx.insert_batch(corpus);
-  return run_cell(idx, "concurrent", queries, opt, bursts_per_s,
-                  reads_per_s);
 }
 
 void write_json(std::ostream& os, const std::vector<CellResult>& cells,
@@ -283,18 +269,15 @@ int main(int argc, char** argv) {
 
   // Offered load: 20 bursts/s (40k+ segments/s at the default burst) and
   // 200 queries/s across the readers — brisk for one box but far from
-  // saturating either backend, so the signal is the latency tail, not a
+  // saturating the index, so the signal is the latency tail, not a
   // throughput ceiling.
   const double bursts_per_s = 20.0;
   const double reads_per_s = 100.0;
 
-  // Gate mode takes the best tiered pass of several: the bound is about
-  // the index's maintenance machinery, and one preempted scheduler
-  // quantum on a loaded CI box should not fail the build. The contrast
-  // cell (single lock) runs once — it is reporting, not gated.
+  // Gate mode takes the best pass of several: the bound is about the
+  // index's maintenance machinery, and one preempted scheduler quantum on
+  // a loaded CI box should not fail the build.
   std::vector<CellResult> cells;
-  cells.push_back(
-      run_single(corpus, queries, opt, bursts_per_s, reads_per_s));
   CellResult best{};
   const int passes = opt.gate ? std::max(1, opt.attempts) : 1;
   for (int a = 0; a < passes; ++a) {
@@ -327,7 +310,7 @@ int main(int argc, char** argv) {
                      std::to_string(c.compactions)});
     }
     table.print(std::cout);
-    std::cout << "\nReading: the tiered column to watch is ingest_p99 — "
+    std::cout << "\nReading: the column to watch is ingest_p99 — "
                  "each burst lands as O(burst) memtable appends plus an "
                  "O(1) seal swap, while STR packing and merging happen on "
                  "sealed immutable buffers off the foreground path. With "

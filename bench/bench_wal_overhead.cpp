@@ -20,7 +20,7 @@
 // each pushing --uploads uploads of --segments representative FoVs
 // through CloudServer::ingest (WAL append + index insert). Closed loop is
 // the right drive here: the question is peak acked ingest throughput,
-// not tail latency under a paced load (bench_index_contention covers
+// not tail latency under a paced load (bench_sustained_ingest covers
 // that). Per-upload ack latency percentiles are reported alongside.
 //
 // The acceptance bar pinned by docs/DURABILITY.md: fsync=batch acked

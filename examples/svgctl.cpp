@@ -8,21 +8,17 @@
 //       print corpus statistics
 //   svgctl query --in corpus.svgx --lat 39.9042 --lng 116.4074
 //                --radius 50 --from 0 --to 9999999999999 [--top 10]
-//                [--backend single|sharded|tiered] [--shards K]
 //                [--memtable N]
 //       load the snapshot into a CloudServer, run one retrieval through the
-//       full instrumented stack, print results + per-stage timings + a
-//       process-metrics stats section. --backend sharded selects the
-//       K-way sharded index (K = --shards, 0/default = hardware
-//       concurrency); --backend tiered the memtable + STR-packed columnar
-//       runs backend (--memtable N = seal threshold); see
-//       docs/PERFORMANCE.md for when each wins.
-//   svgctl compact --in corpus.svgx [--backend tiered] [--memtable N]
-//                  [--full 0|1]
-//       load the corpus into the tiered backend, seal the memtable, and
-//       merge runs (--full 1, default, compacts to a single run; --full 0
-//       runs one size-tiered round). Prints the run structure — row count
-//       and [ts_min, ts_max] per run — before and after.
+//       full instrumented stack, print results + per-stage timings + the
+//       tiered index's run structure + a process-metrics stats section.
+//       --memtable N sets the index's memtable seal threshold
+//       (docs/PERFORMANCE.md).
+//   svgctl compact --in corpus.svgx [--memtable N] [--full 0|1]
+//       load the corpus into the server's tiered index, seal the memtable,
+//       and merge runs (--full 1, default, compacts to a single run;
+//       --full 0 runs one size-tiered round). Prints the run structure —
+//       row count and [ts_min, ts_max] per run — before and after.
 //   svgctl recover --data-dir d
 //       recover a durable data directory (checkpoint + WAL replay), print
 //       the recovery summary; --checkpoint 1 additionally takes a fresh
@@ -266,34 +262,16 @@ bool durability_from_flags(const std::map<std::string, std::string>& flags,
   return true;
 }
 
-/// Parse --backend (plus its per-backend flags --shards and --memtable)
-/// into `icfg`. On an unknown value, prints the full list of valid
-/// backends and returns false; every caller (query, chaos, compact) then
-/// exits 1 — the bad-usage code — so unknown-backend behaviour is
-/// identical across subcommands.
-bool parse_backend(const std::map<std::string, std::string>& flags,
-                   net::ServerIndexConfig& icfg,
-                   const std::string& fallback = "single") {
-  const auto backend = flag_str(flags, "backend", fallback);
-  if (backend == "single") {
-    icfg.backend = net::ServerIndexConfig::Backend::kConcurrent;
-  } else if (backend == "sharded") {
-    icfg.backend = net::ServerIndexConfig::Backend::kSharded;
-    icfg.shards = static_cast<std::size_t>(flag_num(flags, "shards", 0));
-  } else if (backend == "tiered") {
-    icfg.backend = net::ServerIndexConfig::Backend::kTiered;
-    icfg.memtable =
-        static_cast<std::size_t>(flag_num(flags, "memtable", 0));
-  } else {
-    std::cerr << "error: unknown --backend '" << backend
-              << "' (valid backends: single, sharded, tiered)\n";
-    return false;
-  }
-  return true;
+/// Index settings from --memtable (query, chaos, compact).
+net::ServerIndexConfig index_from_flags(
+    const std::map<std::string, std::string>& flags) {
+  net::ServerIndexConfig icfg;
+  icfg.memtable = static_cast<std::size_t>(flag_num(flags, "memtable", 0));
+  return icfg;
 }
 
-/// Print a TieredStats structure snapshot (svgctl compact / query
-/// --backend tiered): per-run rows + time bounds plus the tier totals.
+/// Print a TieredStats structure snapshot (svgctl compact / query): per-run
+/// rows + time bounds plus the tier totals.
 void print_tiered_stats(const index::TieredStats& s, const std::string& when) {
   std::cout << when << ": memtable " << s.memtable_rows << " rows, sealing "
             << s.sealing_rows << " rows, " << s.runs.size() << " runs ("
@@ -481,14 +459,13 @@ int cmd_query(const std::map<std::string, std::string>& flags) {
   cfg.orientation_slack_deg = flag_num(flags, "slack", 10.0);
   cfg.top_n = static_cast<std::size_t>(flag_num(flags, "top", 10));
 
-  net::ServerIndexConfig icfg;
-  if (!parse_backend(flags, icfg)) return 1;
+  const auto icfg = index_from_flags(flags);
 
   net::ServerDurabilityConfig dcfg;
   if (!durability_from_flags(flags, dcfg)) return 1;
 
   // Go through CloudServer so the run exercises the production path: the
-  // selected index backend (svg_index_*), the retrieval pipeline
+  // tiered index (svg_index_*), the retrieval pipeline
   // (svg_retrieval_*), and the server boundary (svg_server_*). With
   // --data-dir, the corpus comes from crash recovery of that directory
   // instead of the --in snapshot; with --admit-rate, through admission
@@ -555,9 +532,7 @@ int cmd_query(const std::map<std::string, std::string>& flags) {
   }
   table.print(std::cout);
 
-  if (const auto tiered = server->tiered_run_stats()) {
-    print_tiered_stats(*tiered, "tiered index");
-  }
+  print_tiered_stats(*server->tiered_run_stats(), "tiered index");
 
   if (const auto* ac = server->admission()) print_admission_stats(*ac);
 
@@ -689,12 +664,10 @@ std::vector<std::uint8_t> canonical_index(net::CloudServer& server,
 }
 
 int cmd_chaos(const std::map<std::string, std::string>& flags) {
-  // The chaos server honours --backend (ground truth always runs on the
-  // default single backend, so a tiered/sharded chaos run doubles as a
-  // cross-backend convergence check). Same exit-1 on unknown values as
-  // query/compact.
-  net::ServerIndexConfig icfg;
-  if (!parse_backend(flags, icfg)) return 1;
+  // The chaos server honours --memtable (ground truth always runs on the
+  // default index, so a small-memtable chaos run doubles as a check that
+  // run layout never changes the indexed set).
+  const auto icfg = index_from_flags(flags);
   const auto seeds =
       static_cast<std::uint64_t>(flag_num(flags, "seeds", 20));
   net::FaultPlan base;
@@ -1238,22 +1211,14 @@ int cmd_scrub(const std::map<std::string, std::string>& flags) {
 }
 
 int cmd_compact(const std::map<std::string, std::string>& flags) {
-  // Load a corpus (or recover a durable data dir) into a tiered-backend
-  // server, seal the memtable, and run compaction to completion — the
-  // operator's offline "pack this index" tool. Prints the run structure
-  // before and after so the merge is visible.
-  net::ServerIndexConfig icfg;
-  if (!parse_backend(flags, icfg, "tiered")) return 1;
-  if (icfg.backend != net::ServerIndexConfig::Backend::kTiered) {
-    std::cerr << "error: compact requires --backend tiered "
-                 "(valid backends: single, sharded, tiered; only tiered "
-                 "has runs to compact)\n";
-    return 1;
-  }
+  // Load a corpus (or recover a durable data dir) into a server, seal the
+  // memtable, and run compaction to completion — the operator's offline
+  // "pack this index" tool. Prints the run structure before and after so
+  // the merge is visible.
   net::ServerDurabilityConfig dcfg;
   if (!durability_from_flags(flags, dcfg)) return 1;
 
-  auto server = open_durable_server(icfg, {}, dcfg);
+  auto server = open_durable_server(index_from_flags(flags), {}, dcfg);
   if (!server) return 2;
   if (server->durable()) {
     std::cout << server->recovery().summary() << "\n";
@@ -1361,8 +1326,7 @@ int main(int argc, char** argv) {
     std::cerr << "usage: svgctl "
                  "<generate|info|query|trace|recover|wal-dump|chaos|cluster|"
                  "scrub|compact> [--flag value ...]\n"
-                 "  query/chaos take --backend single|sharded|tiered; "
-                 "compact takes --backend tiered\n";
+                 "  query/chaos/compact take --memtable N\n";
     return 1;
   }
   const std::string cmd = argv[1];

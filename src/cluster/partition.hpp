@@ -2,12 +2,10 @@
 // Geo-cell partitioning for the multi-node cluster (docs/CLUSTER.md). A
 // fixed raster over the deployment area (the same cell math as
 // index::GridIndex) assigns every FoV position to a cell; a
-// splitmix-constant hash of the cell id (the same trick as
-// ShardedFovIndex::shard_of, but keyed by geography rather than uploader)
-// assigns every cell to one of N partitions. The layout is a pure
-// function of PartitionConfig, so any restart — or any other process
-// handed the same config — computes the identical assignment; nothing
-// about the mapping is ever persisted.
+// splitmix-constant hash of the cell id assigns every cell to one of N
+// partitions. The layout is a pure function of PartitionConfig, so any
+// restart — or any other process handed the same config — computes the
+// identical assignment; nothing about the mapping is ever persisted.
 //
 // Partitions are the stable unit of ownership: the RoutingTable maps each
 // partition to the node currently *serving* it, and only that indirection

@@ -2,23 +2,18 @@
 // The server-side FoV index of Section V-A: each representative FoV
 // f_r = (p̄, θ̄) with interval [ts, te] becomes the degenerate 3-D rectangle
 // min = [lng, lat, ts], max = [lng, lat, te] in an R-tree. A linear-scan
-// baseline with the same interface backs the Fig. 6(c) comparison, and a
-// shared_mutex wrapper serves concurrent queriers.
+// baseline with the same interface backs the Fig. 6(c) comparison. Neither
+// is synchronized: the server serves concurrent queriers from the tiered
+// index (tiered_fov_index.hpp), which tests check against FovIndex as the
+// oracle.
 
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <mutex>
-#include <optional>
-#include <shared_mutex>
-#include <span>
 #include <vector>
 
 #include "core/fov.hpp"
 #include "index/rtree.hpp"
-#include "obs/families.hpp"
-#include "obs/timer.hpp"
-#include "obs/trace.hpp"
 
 namespace svg::index {
 
@@ -133,101 +128,6 @@ class LinearIndex {
   std::deque<core::RepresentativeFov> slots_;
   std::vector<bool> alive_;
   std::size_t live_ = 0;
-};
-
-/// Reader/writer wrapper for the cloud server: many concurrent queriers,
-/// occasional upload bursts. Feeds the svg_index_* metric family: insert
-/// and query latencies include lock wait (that is the number an operator
-/// cares about under contention), and the size gauge is updated while the
-/// writer lock is still held, so gauge and tree never disagree.
-class ConcurrentFovIndex {
- public:
-  explicit ConcurrentFovIndex(FovIndexOptions options = {})
-      : index_(options) {}
-
-  FovHandle insert(const core::RepresentativeFov& rep) {
-    auto& m = obs::index_metrics();
-    obs::ScopedTimer timer(m.insert_ns);
-    std::unique_lock lock(mutex_);
-    const FovHandle h = index_.insert(rep);
-    m.inserts.inc();
-    m.size.set(static_cast<std::int64_t>(index_.size()));
-    return h;
-  }
-
-  /// Insert a whole upload's segments under one writer-lock acquisition.
-  /// Each acquisition of this reader-preferring lock can stall behind the
-  /// full set of in-flight readers, so amortizing it across a batch is what
-  /// keeps sustained ingest possible under read pressure (see
-  /// bench_index_contention).
-  void insert_batch(std::span<const core::RepresentativeFov> reps) {
-    if (reps.empty()) return;
-    auto& m = obs::index_metrics();
-    obs::ScopedTimer timer(m.insert_ns);
-    std::unique_lock lock(mutex_);
-    for (const auto& rep : reps) index_.insert(rep);
-    m.inserts.inc(reps.size());
-    m.size.set(static_cast<std::int64_t>(index_.size()));
-  }
-
-  bool erase(FovHandle handle) {
-    auto& m = obs::index_metrics();
-    std::unique_lock lock(mutex_);
-    const bool erased = index_.erase(handle);
-    if (erased) {
-      m.erases.inc();
-      m.size.set(static_cast<std::int64_t>(index_.size()));
-    }
-    return erased;
-  }
-
-  /// Devirtualized range query: the visitor inlines through FovIndex into
-  /// the R-tree descent. Latency includes reader-lock wait — that is the
-  /// number an operator cares about under contention.
-  template <typename F>
-  void query(const GeoTimeRange& range, F&& visit) const {
-    auto& m = obs::index_metrics();
-    obs::Span span = obs::tracer().span("index.query");
-    obs::ScopedTimer timer(m.query_ns, span.trace_id());
-    m.queries.inc();
-    std::shared_lock lock(mutex_);
-    index_.query(range, std::forward<F>(visit));
-  }
-
-  void query(const GeoTimeRange& range,
-             const FovIndex::Visitor& visit) const {
-    query(range, [&](const core::RepresentativeFov& rep) { visit(rep); });
-  }
-
-  [[nodiscard]] std::vector<core::RepresentativeFov> query_collect(
-      const GeoTimeRange& range) const {
-    // Through the instrumented query() path, so collect-style reads count
-    // on the svg_index_* dashboards like every other range query.
-    std::vector<core::RepresentativeFov> out;
-    query(range,
-          [&](const core::RepresentativeFov& rep) { out.push_back(rep); });
-    return out;
-  }
-
-  [[nodiscard]] std::size_t size() const {
-    auto& m = obs::index_metrics();
-    obs::ScopedTimer timer(m.query_ns);
-    m.queries.inc();
-    std::shared_lock lock(mutex_);
-    return index_.size();
-  }
-
-  [[nodiscard]] std::vector<core::RepresentativeFov> snapshot() const {
-    auto& m = obs::index_metrics();
-    obs::ScopedTimer timer(m.query_ns);
-    m.queries.inc();
-    std::shared_lock lock(mutex_);
-    return index_.snapshot();
-  }
-
- private:
-  mutable std::shared_mutex mutex_;
-  FovIndex index_;
 };
 
 }  // namespace svg::index

@@ -13,8 +13,9 @@
 // bench comparing one-by-one insertion (what a live crowd-sourcing server
 // does) against offline packing.
 //
-// The tree is not internally synchronized; svg::index::ConcurrentFovIndex
-// layers a shared_mutex on top for the multi-reader server.
+// The tree is not internally synchronized; svg::index::TieredFovIndex
+// queries its immutable per-run trees under a shared_mutex for the
+// multi-reader server.
 
 #include <algorithm>
 #include <atomic>
@@ -762,8 +763,8 @@ class RTree {
   std::size_t size_ = 0;
   /// Work metric for Fig. 6(c): boxes touched by the most recent
   /// query/nearest call. Atomic so concurrent readers (shared-lock queries
-  /// through ConcurrentFovIndex) publish without racing; each query writes
-  /// it exactly once, at the end.
+  /// of a TieredFovIndex run) publish without racing; each query writes it
+  /// exactly once, at the end.
   mutable std::atomic<std::size_t> boxes_visited_{0};
 };
 

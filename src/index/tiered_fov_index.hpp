@@ -20,10 +20,10 @@
 // indexed set; disable the background compactor (compact_interval_ms = 0)
 // where boundary determinism matters and drive compact_now() manually.
 //
-// Satisfies the backend concept RetrievalEngine and CloudServer template
-// over: insert / insert_batch / erase / size / snapshot /
-// query(GeoTimeRange, visitor). Feeds the aggregated svg_index_* family
-// plus svg_index_run_* (seal/run lifecycle) and svg_index_compaction_*.
+// CloudServer's only index. Satisfies the index concept RetrievalEngine
+// templates over: insert / insert_batch / erase / size / snapshot /
+// query(GeoTimeRange, visitor). Feeds the svg_index_* family plus
+// svg_index_run_* (seal/run lifecycle) and svg_index_compaction_*.
 //
 // Concurrency: one shared_mutex guards the mutable state (memtable, run
 // list, tombstone bitmap). Writers hold it exclusively only for the O(1)

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <mutex>
 #include <stdexcept>
-#include <type_traits>
 #include <utility>
 
 #include "net/snapshot.hpp"
@@ -15,23 +14,23 @@
 
 namespace svg::net {
 
-CloudServer::IndexVariant CloudServer::make_index(
-    const ServerIndexConfig& cfg, std::uint32_t compact_interval_ms) {
-  if (cfg.backend == ServerIndexConfig::Backend::kSharded) {
-    index::ShardedFovIndexOptions opts;
-    opts.shards = cfg.shards;
-    opts.index = cfg.index;
-    return std::make_unique<index::ShardedFovIndex>(opts);
-  }
-  if (cfg.backend == ServerIndexConfig::Backend::kTiered) {
-    index::TieredFovIndexOptions opts;
-    if (cfg.memtable > 0) opts.memtable_capacity = cfg.memtable;
-    opts.compact_interval_ms = compact_interval_ms;
-    opts.index = cfg.index;
-    return std::make_unique<index::TieredFovIndex>(opts);
-  }
-  return std::make_unique<index::ConcurrentFovIndex>(cfg.index);
+namespace {
+
+using Engine = retrieval::RetrievalEngine<index::TieredFovIndex>;
+
+index::TieredFovIndexOptions index_options(
+    const ServerIndexConfig& cfg, std::uint32_t checkpoint_interval_ms) {
+  index::TieredFovIndexOptions opts;
+  if (cfg.memtable > 0) opts.memtable_capacity = cfg.memtable;
+  // The index compacts on the Checkpointer's cadence unless the index
+  // config overrides it.
+  opts.compact_interval_ms = cfg.compact_interval_ms != 0
+                                 ? cfg.compact_interval_ms
+                                 : checkpoint_interval_ms;
+  return opts;
 }
+
+}  // namespace
 
 store::WalOptions CloudServer::wal_options() const {
   store::WalOptions wal_opts;
@@ -52,7 +51,7 @@ store::Checkpointer::Source CloudServer::checkpoint_source() {
     std::unique_lock gate(ingest_gate_);
     store::CheckpointData data;
     data.seq = wal_->last_seq();
-    data.reps = with_index([](const auto& idx) { return idx.snapshot(); });
+    data.reps = index_.snapshot();
     {
       std::lock_guard lock(dedup_mu_);
       data.upload_ids.assign(seen_upload_ids_.begin(),
@@ -66,12 +65,7 @@ CloudServer::CloudServer(ServerIndexConfig index_config,
                          retrieval::RetrievalConfig retrieval_config,
                          ServerDurabilityConfig durability,
                          AdmissionConfig admission)
-    : index_(make_index(index_config,
-                        // The tiered backend compacts on the Checkpointer's
-                        // cadence unless the index config overrides it.
-                        index_config.compact_interval_ms != 0
-                            ? index_config.compact_interval_ms
-                            : durability.checkpoint_interval_ms)),
+    : index_(index_options(index_config, durability.checkpoint_interval_ms)),
       retrieval_config_(retrieval_config),
       admission_(admission.enabled
                      ? std::make_unique<AdmissionController>(admission)
@@ -83,7 +77,7 @@ CloudServer::CloudServer(ServerIndexConfig index_config,
   auto opened = store::recover_and_open(
       wal_options(),
       [&](std::span<const core::RepresentativeFov> reps) {
-        with_index([&](auto& idx) { idx.insert_batch(reps); });
+        index_.insert_batch(reps);
         obs::server_metrics().segments_indexed.inc(reps.size());
         segments_indexed_.fetch_add(reps.size(), std::memory_order_release);
       },
@@ -280,7 +274,7 @@ IngestStatus CloudServer::ingest_status(const UploadMessage& msg) {
     }
     obs::Span index_span = obs::tracer().span("index.insert");
     index_span.tag("segments", msg.segments.size());
-    with_index([&](auto& idx) { idx.insert_batch(msg.segments); });
+    index_.insert_batch(msg.segments);
   } else {
     obs::Span claim_span = obs::tracer().span("server.dedup_claim");
     if (!claim_upload_id(msg.upload_id)) {
@@ -291,11 +285,11 @@ IngestStatus CloudServer::ingest_status(const UploadMessage& msg) {
       return IngestStatus::kDuplicate;
     }
     claim_span.end();
-    // Batch path: one writer-lock acquisition per upload (per shard for
-    // the sharded backend) instead of one per segment.
+    // Batch path: one writer-lock acquisition per memtable fill instead of
+    // one per segment.
     obs::Span index_span = obs::tracer().span("index.insert");
     index_span.tag("segments", msg.segments.size());
-    with_index([&](auto& idx) { idx.insert_batch(msg.segments); });
+    index_.insert_batch(msg.segments);
   }
   m.segments_indexed.inc(msg.segments.size());
   m.uploads_accepted.inc();
@@ -342,11 +336,7 @@ std::vector<retrieval::RankedResult> CloudServer::search(
   obs::ScopedTimer timer(m.query_ns, span.trace_id());
   queries_served_.fetch_add(1, std::memory_order_relaxed);
   m.queries.inc();
-  return with_index([&](const auto& idx) {
-    retrieval::RetrievalEngine<std::decay_t<decltype(idx)>> engine(
-        idx, retrieval_config_);
-    return engine.search(q, trace);
-  });
+  return Engine(index_, retrieval_config_).search(q, trace);
 }
 
 std::vector<retrieval::RankedResult> CloudServer::search_n(
@@ -359,10 +349,7 @@ std::vector<retrieval::RankedResult> CloudServer::search_n(
   m.queries.inc();
   retrieval::RetrievalConfig cfg = retrieval_config_;
   cfg.top_n = top_n;
-  return with_index([&](const auto& idx) {
-    retrieval::RetrievalEngine<std::decay_t<decltype(idx)>> engine(idx, cfg);
-    return engine.search(q, trace);
-  });
+  return Engine(index_, cfg).search(q, trace);
 }
 
 std::optional<std::vector<std::uint8_t>> CloudServer::handle_query(
@@ -390,10 +377,7 @@ std::optional<std::vector<std::uint8_t>> CloudServer::handle_query(
 
   retrieval::RetrievalConfig cfg = retrieval_config_;
   cfg.top_n = msg->top_n;
-  const auto results = with_index([&](const auto& idx) {
-    retrieval::RetrievalEngine<std::decay_t<decltype(idx)>> engine(idx, cfg);
-    return engine.search(q);
-  });
+  const auto results = Engine(index_, cfg).search(q);
   queries_served_.fetch_add(1, std::memory_order_relaxed);
   m.queries.inc();
 
@@ -417,16 +401,15 @@ bool CloudServer::save_snapshot(const std::string& path) const {
     std::lock_guard lock(dedup_mu_);
     ids.assign(seen_upload_ids_.begin(), seen_upload_ids_.end());
   }
-  return save_snapshot_file(
-      with_index([](const auto& idx) { return idx.snapshot(); }), path,
-      /*last_seq=*/0, std::move(ids), durability_.env);
+  return save_snapshot_file(index_.snapshot(), path, /*last_seq=*/0,
+                            std::move(ids), durability_.env);
 }
 
 std::optional<std::size_t> CloudServer::load_snapshot(
     const std::string& path) {
   const auto snap = store::load_snapshot_file_full(path, durability_.env);
   if (!snap) return std::nullopt;
-  with_index([&](auto& idx) { idx.insert_batch(snap->reps); });
+  index_.insert_batch(snap->reps);
   {
     std::lock_guard lock(dedup_mu_);
     seen_upload_ids_.insert(snap->upload_ids.begin(),
@@ -435,25 +418,6 @@ std::optional<std::size_t> CloudServer::load_snapshot(
   obs::server_metrics().segments_indexed.inc(snap->reps.size());
   segments_indexed_.fetch_add(snap->reps.size(), std::memory_order_release);
   return snap->reps.size();
-}
-
-std::optional<index::TieredStats> CloudServer::tiered_run_stats() const {
-  const auto* tiered =
-      std::get_if<std::unique_ptr<index::TieredFovIndex>>(&index_);
-  if (tiered == nullptr) return std::nullopt;
-  return (*tiered)->run_stats();
-}
-
-bool CloudServer::seal_index_now() {
-  auto* tiered = std::get_if<std::unique_ptr<index::TieredFovIndex>>(&index_);
-  if (tiered == nullptr) return false;
-  return (*tiered)->seal_now();
-}
-
-std::size_t CloudServer::compact_index_now(bool full) {
-  auto* tiered = std::get_if<std::unique_ptr<index::TieredFovIndex>>(&index_);
-  if (tiered == nullptr) return 0;
-  return (*tiered)->compact_now(full);
 }
 
 std::size_t CloudServer::known_upload_ids() const {

@@ -1,5 +1,5 @@
 #pragma once
-// The cloud side of Fig. 1: ingest descriptor uploads into the concurrent
+// The cloud side of Fig. 1: ingest descriptor uploads into the tiered
 // spatio-temporal index, answer range queries with the rank-based pipeline,
 // serve many queriers in parallel.
 
@@ -12,11 +12,8 @@
 #include <span>
 #include <string>
 #include <unordered_set>
-#include <variant>
 #include <vector>
 
-#include "index/fov_index.hpp"
-#include "index/sharded_fov_index.hpp"
 #include "index/tiered_fov_index.hpp"
 #include "net/admission.hpp"
 #include "net/transport.hpp"
@@ -59,35 +56,23 @@ enum class IngestStatus {
   kRetryLater,  ///< degraded read-only — not logged, not indexed
 };
 
-/// Which index implementation backs the server. kConcurrent is the single
-/// R-tree behind one reader/writer lock; kSharded partitions across K
-/// independently-locked R-trees so upload bursts stop stalling the whole
-/// read side; kTiered is the LSM-style memtable + immutable STR-packed
-/// columnar runs + background compaction backend
-/// (docs/PERFORMANCE.md discusses the trade-offs).
+/// Settings of the server's index, an index::TieredFovIndex: an LSM-style
+/// memtable + immutable STR-packed columnar runs + background compaction
+/// (docs/PERFORMANCE.md).
 struct ServerIndexConfig {
-  enum class Backend { kConcurrent, kSharded, kTiered };
+  /// Selects nothing — the tiered index is the only server index; the
+  /// enum stays so callers that name Backend::kTiered keep compiling.
+  enum class Backend { kTiered };
 
   ServerIndexConfig() = default;
-  /// Implicit, so existing call sites that pass plain FovIndexOptions (or
-  /// `{}`) keep selecting the single-lock backend unchanged.
-  ServerIndexConfig(index::FovIndexOptions opts)  // NOLINT(google-explicit-constructor)
-      : index(opts) {}
-  explicit ServerIndexConfig(Backend b, std::size_t shard_count = 0,
-                             index::FovIndexOptions opts = {})
-      : backend(b), shards(shard_count), index(opts) {}
+  explicit ServerIndexConfig(Backend /*backend*/) {}
 
-  Backend backend = Backend::kConcurrent;
-  /// Shard count for kSharded; 0 → hardware concurrency (see
-  /// ShardedFovIndexOptions::shards). Ignored by the other backends.
-  std::size_t shards = 0;
-  /// kTiered memtable seal threshold; 0 → TieredFovIndexOptions default.
+  /// Memtable seal threshold; 0 → TieredFovIndexOptions default.
   std::size_t memtable = 0;
-  /// kTiered background-compaction period; 0 → follow the Checkpointer's
-  /// cadence (durability.checkpoint_interval_ms), which itself may be 0
-  /// (manual compaction only).
+  /// Background-compaction period; 0 → follow the Checkpointer's cadence
+  /// (durability.checkpoint_interval_ms), which itself may be 0 (manual
+  /// compaction only — the default for an in-memory server).
   std::uint32_t compact_interval_ms = 0;
-  index::FovIndexOptions index{};
 };
 
 /// Durable-ingest configuration. An empty data_dir (the default) keeps the
@@ -194,26 +179,19 @@ class CloudServer {
       const retrieval::Query& q, std::uint32_t top_n,
       retrieval::SearchTrace* trace = nullptr) const;
 
-  [[nodiscard]] std::size_t indexed_segments() const {
-    return std::visit([](const auto& p) { return p->size(); }, index_);
-  }
-  [[nodiscard]] ServerIndexConfig::Backend backend() const noexcept {
-    switch (index_.index()) {
-      case 1: return ServerIndexConfig::Backend::kSharded;
-      case 2: return ServerIndexConfig::Backend::kTiered;
-      default: return ServerIndexConfig::Backend::kConcurrent;
-    }
-  }
+  [[nodiscard]] std::size_t indexed_segments() const { return index_.size(); }
 
-  /// Tiered-backend introspection: run/memtable structure, or nullopt for
-  /// the other backends.
-  [[nodiscard]] std::optional<index::TieredStats> tiered_run_stats() const;
-  /// Tiered backend only: seal the memtable into a run (false = empty
-  /// memtable or non-tiered backend).
-  bool seal_index_now();
-  /// Tiered backend only: run one compaction round (all runs when `full`);
-  /// returns input runs merged, 0 for the other backends.
-  std::size_t compact_index_now(bool full = false);
+  /// Run/memtable structure of the index. Always engaged.
+  [[nodiscard]] std::optional<index::TieredStats> tiered_run_stats() const {
+    return index_.run_stats();
+  }
+  /// Seal the memtable into a run (false = empty memtable).
+  bool seal_index_now() { return index_.seal_now(); }
+  /// Run one compaction round (all runs when `full`); returns input runs
+  /// merged. A server whose compaction cadence is 0 compacts only here.
+  std::size_t compact_index_now(bool full = false) {
+    return index_.compact_now(full);
+  }
   [[nodiscard]] ServerStats stats() const;
   /// Zero this instance's counters (not the process-wide metric family).
   void reset_stats();
@@ -259,31 +237,6 @@ class CloudServer {
   [[nodiscard]] std::uint64_t durable_wal_seq() const;
 
  private:
-  // The alternatives hold a shared_mutex / atomics and are immovable, so
-  // the variant stores owning pointers; the backend is fixed for the
-  // server's lifetime, so every access goes through one std::visit.
-  using IndexVariant = std::variant<std::unique_ptr<index::ConcurrentFovIndex>,
-                                    std::unique_ptr<index::ShardedFovIndex>,
-                                    std::unique_ptr<index::TieredFovIndex>>;
-
-  /// `compact_interval_ms` is the already-resolved tiered compaction
-  /// cadence (config override or the Checkpointer's).
-  static IndexVariant make_index(const ServerIndexConfig& cfg,
-                                 std::uint32_t compact_interval_ms);
-
-  /// Visit the active backend; the callable sees a concrete index type, so
-  /// RetrievalEngine instantiates per backend with no virtual dispatch.
-  template <typename F>
-  decltype(auto) with_index(F&& f) const {
-    return std::visit([&](const auto& p) -> decltype(auto) { return f(*p); },
-                      index_);
-  }
-  template <typename F>
-  decltype(auto) with_index(F&& f) {
-    return std::visit([&](const auto& p) -> decltype(auto) { return f(*p); },
-                      index_);
-  }
-
   /// Atomically claim an upload_id. False = already ingested (retransmit).
   /// id 0 (legacy/no-id) always claims successfully and is never stored.
   bool claim_upload_id(std::uint64_t id);
@@ -297,7 +250,7 @@ class CloudServer {
   /// The consistent (seq, index, dedup set) capture for checkpoints.
   [[nodiscard]] store::Checkpointer::Source checkpoint_source();
 
-  IndexVariant index_;
+  index::TieredFovIndex index_;
   retrieval::RetrievalConfig retrieval_config_;
   /// Overload control; null when not configured (the default — admission
   /// off is byte-for-byte the pre-admission server). The controller has

@@ -1,10 +1,5 @@
 #include "obs/families.hpp"
 
-#include <memory>
-#include <mutex>
-#include <string>
-#include <vector>
-
 namespace svg::obs {
 
 namespace {
@@ -45,12 +40,9 @@ ServerMetrics& server_metrics() {
 
 IndexMetrics& index_metrics() {
   static IndexMetrics m{
-      global().counter("svg_index_inserts_total",
-                       "ConcurrentFovIndex insertions"),
-      global().counter("svg_index_erases_total",
-                       "ConcurrentFovIndex erasures"),
-      global().counter("svg_index_queries_total",
-                       "ConcurrentFovIndex range queries"),
+      global().counter("svg_index_inserts_total", "Index insertions"),
+      global().counter("svg_index_erases_total", "Index erasures"),
+      global().counter("svg_index_queries_total", "Index range queries"),
       global().gauge("svg_index_size", "Live segments in the index"),
       global().histogram("svg_index_insert_ns",
                          "Insert latency incl. writer-lock wait"),
@@ -58,28 +50,6 @@ IndexMetrics& index_metrics() {
                          "Range-query latency incl. reader-lock wait"),
   };
   return m;
-}
-
-IndexShardMetrics& index_shard_metrics(std::size_t shard) {
-  // Shards are created at index construction, so registration is cold;
-  // a mutex-guarded grow-only list keeps the returned references stable.
-  static std::mutex mu;
-  static std::vector<std::unique_ptr<IndexShardMetrics>> slices;
-  std::lock_guard lock(mu);
-  while (slices.size() <= shard) {
-    const auto i = std::to_string(slices.size());
-    slices.push_back(std::make_unique<IndexShardMetrics>(IndexShardMetrics{
-        global().counter("svg_index_shard" + i + "_inserts_total",
-                         "ShardedFovIndex insertions into shard " + i),
-        global().counter("svg_index_shard" + i + "_erases_total",
-                         "ShardedFovIndex erasures from shard " + i),
-        global().counter("svg_index_shard" + i + "_queries_total",
-                         "ShardedFovIndex range queries touching shard " + i),
-        global().gauge("svg_index_shard" + i + "_size",
-                       "Live segments in shard " + i),
-    }));
-  }
-  return *slices[shard];
 }
 
 IndexRunMetrics& index_run_metrics() {

@@ -33,10 +33,8 @@ struct ServerMetrics {
   Histogram& query_ns;   ///< handle_query / search wall time
 };
 
-/// index::ConcurrentFovIndex / index::ShardedFovIndex — the shared R-tree
-/// (or R-trees) behind the server. Both backends feed this aggregated
-/// family; the sharded backend additionally feeds one IndexShardMetrics
-/// per shard so skew across shards is visible.
+/// index::TieredFovIndex — the server's index: inserts, erases, range
+/// queries and the live size (svg_index_*).
 struct IndexMetrics {
   Counter& inserts;
   Counter& erases;
@@ -44,17 +42,6 @@ struct IndexMetrics {
   Gauge& size;  ///< live indexed segments
   Histogram& insert_ns;
   Histogram& query_ns;
-};
-
-/// Per-shard slice of the svg_index_* family: svg_index_shard<i>_*.
-/// Latency histograms stay aggregate-only (per-shard histograms would
-/// multiply exposition size for little diagnostic value); per-shard
-/// counters + size gauge are what reveal hash skew and hot shards.
-struct IndexShardMetrics {
-  Counter& inserts;
-  Counter& erases;
-  Counter& queries;
-  Gauge& size;  ///< live indexed segments in this shard
 };
 
 /// index::TieredFovIndex — sealed-run lifecycle of the tiered backend
@@ -296,10 +283,6 @@ class ThreadPoolMetrics final : public util::ThreadPoolObserver {
 
 [[nodiscard]] ServerMetrics& server_metrics();
 [[nodiscard]] IndexMetrics& index_metrics();
-/// Lazily registers (and thereafter returns) the metric slice for shard
-/// `shard`. Thread-safe; intended to be resolved once per shard at index
-/// construction, not per operation.
-[[nodiscard]] IndexShardMetrics& index_shard_metrics(std::size_t shard);
 [[nodiscard]] IndexRunMetrics& index_run_metrics();
 [[nodiscard]] IndexCompactionMetrics& index_compaction_metrics();
 [[nodiscard]] RetrievalMetrics& retrieval_metrics();

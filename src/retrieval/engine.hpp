@@ -1,6 +1,6 @@
 #pragma once
 // The rank-based retrieval pipeline of Section V-B, generic over the index
-// backend (FovIndex, LinearIndex, ConcurrentFovIndex — anything exposing
+// (TieredFovIndex, FovIndex, LinearIndex — anything exposing
 // `query(GeoTimeRange, visitor)`):
 //
 //   1. expand the query circle into a search rectangle (query.hpp) — by
@@ -153,7 +153,7 @@ class RetrievalEngine {
 
     // Stage 3 — extract the heap, best first (deterministic distance
     // ranking with (video_id, segment_id) tie-break, so the result is
-    // identical across index backends and shard layouts).
+    // identical across index backends and run layouts).
     std::vector<RankedResult> hits = top.take_sorted();
     const std::uint64_t t3 = timed ? obs::now_ns() : 0;
 

@@ -17,7 +17,7 @@ namespace svg::retrieval {
 /// Strict weak order for the top-N cut: primary key metric distance, ties
 /// broken by (video_id, segment_id). With the tie-break, the returned
 /// list is a pure function of the candidate *set* — candidate arrival
-/// order (which differs across index backends and shard layouts) never
+/// order (which differs across index backends and run layouts) never
 /// leaks into the output.
 struct RankedBefore {
   bool operator()(const RankedResult& a,
@@ -73,8 +73,8 @@ class BoundedTopN {
 /// returns. Exact ties under `before` resolve to the lower source index,
 /// so the output is a pure function of (lists, order-within-list) — and,
 /// when every list is sorted by a total order such as RankedBefore, of
-/// the candidate *set* alone. This is the shared merge behind both the
-/// sharded-index fan-in and the cluster scatter-gather.
+/// the candidate *set* alone. This is the merge behind the cluster
+/// scatter-gather.
 template <typename T, typename Before, typename Same>
 [[nodiscard]] std::vector<T> merge_ranked_lists(
     std::span<const std::vector<T>> lists, std::size_t k, Before before,
@@ -121,7 +121,7 @@ template <typename T, typename Before, typename Same>
   return out;
 }
 
-/// merge_ranked_lists without duplicate suppression (shard fan-in: shards
+/// merge_ranked_lists without duplicate suppression (for sources that
 /// partition the corpus, so no row appears twice).
 template <typename T, typename Before>
 [[nodiscard]] std::vector<T> merge_ranked_lists(

@@ -31,7 +31,7 @@ TEST(SensorSmootherTest, FirstSampleIsPassedThrough) {
 
 TEST(SensorSmootherTest, OffConfigIsIdentity) {
   SensorSmoother s(FilterConfig::off());
-  s.push(rec(0, 0, 0, 0));
+  (void)s.push(rec(0, 0, 0, 0));
   const auto out = s.push(rec(33, 3, -4, 123));
   EXPECT_NEAR(svg::geo::distance_m(out.fov.p, rec(0, 3, -4, 0).fov.p), 0.0,
               1e-9);
@@ -43,7 +43,7 @@ TEST(SensorSmootherTest, PositionMovesFractionally) {
   cfg.position_alpha = 0.25;
   cfg.max_speed_mps = 0.0;
   SensorSmoother s(cfg);
-  s.push(rec(0, 0, 0, 0));
+  (void)s.push(rec(0, 0, 0, 0));
   const auto out = s.push(rec(33, 8, 0, 0));
   const auto d = svg::geo::displacement_m(kOrigin, out.fov.p);
   EXPECT_NEAR(d.x, 2.0, 0.01);  // 25% of the way
@@ -53,7 +53,7 @@ TEST(SensorSmootherTest, HeadingSmoothsAcrossWrap) {
   FilterConfig cfg;
   cfg.heading_alpha = 0.5;
   SensorSmoother s(cfg);
-  s.push(rec(0, 0, 0, 350.0));
+  (void)s.push(rec(0, 0, 0, 350.0));
   const auto out = s.push(rec(33, 0, 0, 10.0));
   // Halfway from 350° to 10° along the short arc = 0°, never 180°.
   EXPECT_NEAR(svg::geo::angular_difference_deg(out.fov.theta_deg, 0.0), 0.0,
@@ -65,7 +65,7 @@ TEST(SensorSmootherTest, SpeedGateRejectsTeleports) {
   cfg.position_alpha = 1.0;
   cfg.max_speed_mps = 50.0;
   SensorSmoother s(cfg);
-  s.push(rec(0, 0, 0, 0));
+  (void)s.push(rec(0, 0, 0, 0));
   // 1000 m in 33 ms is a glitch; estimate holds.
   const auto out = s.push(rec(33, 1000, 0, 0));
   EXPECT_NEAR(svg::geo::distance_m(out.fov.p, kOrigin), 0.0, 0.01);
@@ -78,7 +78,7 @@ TEST(SensorSmootherTest, SpeedGateRejectsTeleports) {
 
 TEST(SensorSmootherTest, ResetForgetsState) {
   SensorSmoother s;
-  s.push(rec(0, 0, 0, 0));
+  (void)s.push(rec(0, 0, 0, 0));
   s.reset();
   const auto out = s.push(rec(1000, 100, 100, 90));
   // Treated as a fresh first sample.

@@ -173,7 +173,8 @@ TEST(AbstractSegmentTest, AveragesPositionAndInterval) {
 }
 
 TEST(AbstractSegmentTest, EmptySegmentThrows) {
-  EXPECT_THROW(abstract_segment(VideoSegment{}, 0, 0), std::invalid_argument);
+  EXPECT_THROW((void)abstract_segment(VideoSegment{}, 0, 0),
+               std::invalid_argument);
 }
 
 TEST(AbstractSegmentTest, CircularPolicySurvivesWrap) {

@@ -3,8 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
-#include <thread>
 #include <vector>
 
 #include "sim/crowd.hpp"
@@ -157,74 +155,6 @@ TEST(LinearIndexTest, EraseHidesEntry) {
   EXPECT_EQ(idx.size(), 0u);
   EXPECT_TRUE(
       idx.query_collect(range(115.0, 117.0, 39.0, 41.0, 0, 2000)).empty());
-}
-
-// Regression: query_collect/size/snapshot used to bypass the svg_index_*
-// query instrumentation, so dashboards undercounted reads. All read entry
-// points must count as queries.
-TEST(ConcurrentFovIndexTest, AllReadPathsFeedQueryMetrics) {
-  auto& m = svg::obs::index_metrics();
-  ConcurrentFovIndex idx;
-  idx.insert(make_rep(1, 40.0, 116.0, 0, 0, 1000));
-
-  const auto q0 = m.queries.value();
-  idx.query(range(115.9, 116.1, 39.9, 40.1, 0, 2000),
-            [](const RepresentativeFov&) {});
-  EXPECT_EQ(m.queries.value() - q0, 1u);
-  (void)idx.query_collect(range(115.9, 116.1, 39.9, 40.1, 0, 2000));
-  EXPECT_EQ(m.queries.value() - q0, 2u);
-  (void)idx.size();
-  EXPECT_EQ(m.queries.value() - q0, 3u);
-  (void)idx.snapshot();
-  EXPECT_EQ(m.queries.value() - q0, 4u);
-}
-
-TEST(ConcurrentFovIndexTest, InsertBatchAmortizesOneLockHold) {
-  auto& m = svg::obs::index_metrics();
-  ConcurrentFovIndex idx;
-  std::vector<RepresentativeFov> burst;
-  for (int i = 0; i < 40; ++i) {
-    burst.push_back(make_rep(7, 40.0, 116.0, 0, i * 100, i * 100 + 50));
-  }
-  const auto inserts0 = m.inserts.value();
-  idx.insert_batch(burst);
-  EXPECT_EQ(idx.size(), 40u);
-  EXPECT_EQ(m.inserts.value() - inserts0, 40u);
-  idx.insert_batch({});  // empty batch is a no-op, not a lock acquisition
-  EXPECT_EQ(m.inserts.value() - inserts0, 40u);
-}
-
-TEST(ConcurrentFovIndexTest, ParallelReadersDuringWrites) {
-  svg::sim::CityModel city;
-  svg::util::Xoshiro256 rng(45);
-  const auto reps = svg::sim::random_representative_fovs(
-      2000, city, 0, 86'400'000, rng);
-  ConcurrentFovIndex idx;
-  for (std::size_t i = 0; i < 1000; ++i) idx.insert(reps[i]);
-
-  // Bounded reader loops: an unbounded `while (!stop)` scan loop can
-  // starve the writer forever on reader-preferring shared_mutex
-  // implementations.
-  std::atomic<std::uint64_t> reads{0};
-  std::vector<std::thread> readers;
-  const auto bounds = city.bounds_deg();
-  for (int r = 0; r < 4; ++r) {
-    readers.emplace_back([&] {
-      for (int i = 0; i < 200; ++i) {
-        const auto hits = idx.query_collect(
-            range(bounds.min[0], bounds.max[0], bounds.min[1],
-                  bounds.max[1], 0, 86'400'000));
-        reads.fetch_add(1, std::memory_order_relaxed);
-        // Sizes only ever grow during this test.
-        ASSERT_GE(hits.size(), 1000u);
-        ASSERT_LE(hits.size(), 2000u);
-      }
-    });
-  }
-  for (std::size_t i = 1000; i < 2000; ++i) idx.insert(reps[i]);
-  for (auto& t : readers) t.join();
-  EXPECT_EQ(idx.size(), 2000u);
-  EXPECT_GT(reads.load(), 0u);
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
-// Chaos property test (the issue's acceptance bar): across hundreds of
-// random seed-driven fault plans, the post-run index must equal the
-// fault-free run bit-for-bit — on both index backends, and across a mid-run
-// crash with WAL recovery. "Equal" is canonical: every server's contents
-// are dumped, sorted, and re-encoded through the snapshot codec, so the
-// comparison is independent of ingest order and backend internals.
+// Chaos property test: across hundreds of random seed-driven fault plans,
+// the post-run index must equal the fault-free run bit-for-bit — also
+// across a mid-run crash with WAL recovery. "Equal" is canonical: every
+// server's contents are dumped, sorted, and re-encoded through the
+// snapshot codec, so the comparison is independent of ingest order and
+// index internals.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -115,21 +115,13 @@ TEST(ChaosPropertyTest, FaultyRunsConvergeToFaultFreeIndexAcross200Seeds) {
     ASSERT_TRUE(run_faulty(baseline, uploads, FaultPlan{}, queue_seed));
     const auto want = canonical_index(baseline, dir.path + "/baseline.snap");
 
-    CloudServer plain;
-    ASSERT_TRUE(run_faulty(plain, uploads, plan, queue_seed))
+    CloudServer faulty;
+    ASSERT_TRUE(run_faulty(faulty, uploads, plan, queue_seed))
         << "seed " << seed;
-    EXPECT_EQ(canonical_index(plain, dir.path + "/plain.snap"), want)
-        << "plain backend diverged at seed " << seed;
-
-    CloudServer sharded(
-        ServerIndexConfig(ServerIndexConfig::Backend::kSharded, 4));
-    ASSERT_TRUE(run_faulty(sharded, uploads, plan, queue_seed))
-        << "seed " << seed;
-    EXPECT_EQ(canonical_index(sharded, dir.path + "/sharded.snap"), want)
-        << "sharded backend diverged at seed " << seed;
-
-    EXPECT_EQ(plain.known_upload_ids(), uploads.size());
-    EXPECT_EQ(plain.stats().uploads_accepted, uploads.size());
+    EXPECT_EQ(canonical_index(faulty, dir.path + "/faulty.snap"), want)
+        << "index diverged at seed " << seed;
+    EXPECT_EQ(faulty.known_upload_ids(), uploads.size());
+    EXPECT_EQ(faulty.stats().uploads_accepted, uploads.size());
   }
 }
 
@@ -184,11 +176,10 @@ TEST(ChaosPropertyTest, MidRunCrashAndWalRecoveryStaysExactlyOnce) {
 
 TEST(ChaosPropertyTest, ConcurrentChaosClientsStayExactlyOnce) {
   // Many clients hammer one server through independent faulty links at
-  // once — the dedup set, WAL-less ingest path and sharded index must stay
+  // once — the dedup set, WAL-less ingest path and index must stay
   // consistent under parallelism (this test runs under TSan in CI).
   const std::size_t kClients = 8;
-  CloudServer server(
-      ServerIndexConfig(ServerIndexConfig::Backend::kSharded, 4));
+  CloudServer server;
 
   std::vector<std::vector<UploadMessage>> per_client;
   std::size_t total_segments = 0;

@@ -1,7 +1,6 @@
-// Idempotent ingest: the server absorbs retransmits by upload_id, on both
-// index backends, and the dedup set survives WAL replay and checkpointing —
-// a crashed server that replays its log still indexes each upload exactly
-// once.
+// Idempotent ingest: the server absorbs retransmits by upload_id, and the
+// dedup set survives WAL replay and checkpointing — a crashed server that
+// replays its log still indexes each upload exactly once.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -44,17 +43,8 @@ UploadMessage sample_upload(std::uint64_t upload_id, std::uint64_t video_id,
   return msg;
 }
 
-ServerIndexConfig backend_config(ServerIndexConfig::Backend b) {
-  return b == ServerIndexConfig::Backend::kConcurrent
-             ? ServerIndexConfig{}
-             : ServerIndexConfig(ServerIndexConfig::Backend::kSharded, 4);
-}
-
-class IdempotentIngestTest
-    : public ::testing::TestWithParam<ServerIndexConfig::Backend> {};
-
-TEST_P(IdempotentIngestTest, SameEncodedUploadNTimesIndexesOnce) {
-  CloudServer server(backend_config(GetParam()));
+TEST(IdempotentIngestTest, SameEncodedUploadNTimesIndexesOnce) {
+  CloudServer server;
   const auto msg = sample_upload(777, 1, 10, 3);
   const auto bytes = encode_upload(msg);
   for (int i = 0; i < 25; ++i) {
@@ -68,8 +58,8 @@ TEST_P(IdempotentIngestTest, SameEncodedUploadNTimesIndexesOnce) {
   EXPECT_EQ(server.known_upload_ids(), 1u);
 }
 
-TEST_P(IdempotentIngestTest, AckedPathReportsDuplicateStatus) {
-  CloudServer server(backend_config(GetParam()));
+TEST(IdempotentIngestTest, AckedPathReportsDuplicateStatus) {
+  CloudServer server;
   const auto bytes = encode_upload(sample_upload(42, 2, 6, 5));
 
   const auto first = server.handle_upload_acked(bytes);
@@ -88,8 +78,8 @@ TEST_P(IdempotentIngestTest, AckedPathReportsDuplicateStatus) {
   EXPECT_EQ(server.indexed_segments(), 6u);
 }
 
-TEST_P(IdempotentIngestTest, LegacyIdlessUploadsBypassDedup) {
-  CloudServer server(backend_config(GetParam()));
+TEST(IdempotentIngestTest, LegacyIdlessUploadsBypassDedup) {
+  CloudServer server;
   const auto msg = sample_upload(0, 3, 4, 7);  // upload_id 0 = legacy v1
   const auto bytes = encode_upload(msg);
   EXPECT_TRUE(server.handle_upload(bytes));
@@ -99,16 +89,6 @@ TEST_P(IdempotentIngestTest, LegacyIdlessUploadsBypassDedup) {
   EXPECT_EQ(server.stats().uploads_deduped, 0u);
   EXPECT_EQ(server.known_upload_ids(), 0u);
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    BothBackends, IdempotentIngestTest,
-    ::testing::Values(ServerIndexConfig::Backend::kConcurrent,
-                      ServerIndexConfig::Backend::kSharded),
-    [](const auto& info) {
-      return info.param == ServerIndexConfig::Backend::kConcurrent
-                 ? "Concurrent"
-                 : "Sharded";
-    });
 
 TEST(IdempotentIngestDurabilityTest, DedupSurvivesWalReplay) {
   ScopedDir dir("wal");
@@ -166,29 +146,6 @@ TEST(IdempotentIngestDurabilityTest, DedupSurvivesCheckpointAndRestart) {
     for (const auto& u : uploads) EXPECT_TRUE(server.handle_upload(u));
     EXPECT_EQ(server.indexed_segments(), 30u);
     EXPECT_EQ(server.stats().uploads_deduped, 6u);
-  }
-}
-
-TEST(IdempotentIngestDurabilityTest, ShardedBackendRecoversDedupSet) {
-  ScopedDir dir("sharded");
-  const auto bytes = encode_upload(sample_upload(4242, 7, 9, 31));
-  {
-    ServerDurabilityConfig dcfg;
-    dcfg.data_dir = dir.path;
-    CloudServer server(
-        ServerIndexConfig(ServerIndexConfig::Backend::kSharded, 4), {}, dcfg);
-    EXPECT_TRUE(server.handle_upload(bytes));
-    ASSERT_TRUE(server.checkpoint_now());
-  }
-  {
-    ServerDurabilityConfig dcfg;
-    dcfg.data_dir = dir.path;
-    CloudServer server(
-        ServerIndexConfig(ServerIndexConfig::Backend::kSharded, 4), {}, dcfg);
-    EXPECT_EQ(server.indexed_segments(), 9u);
-    EXPECT_TRUE(server.handle_upload(bytes));
-    EXPECT_EQ(server.indexed_segments(), 9u);
-    EXPECT_EQ(server.stats().uploads_deduped, 1u);
   }
 }
 

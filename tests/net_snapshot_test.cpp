@@ -224,8 +224,9 @@ TEST(SnapshotFileTest, CompatMatrixEveryVersionLoadsThroughEnv) {
   const auto reps = sample_reps(25, 12);
   svg::store::FaultyEnv env{svg::store::StoreFaultPlan{}};
   for (std::uint16_t v = 1; v <= 3; ++v) {
-    const auto path = write_snapshot_file("v" + std::to_string(v),
-                                          snapshot_bytes_v(v, reps));
+    const auto path =
+        write_snapshot_file(std::string("v").append(std::to_string(v)),
+                            snapshot_bytes_v(v, reps));
     const auto full = svg::store::load_snapshot_file_full(path, &env);
     ASSERT_TRUE(full.has_value()) << "version " << v;
     EXPECT_EQ(full->version, v);

@@ -1,9 +1,10 @@
-// Restart tests for the tiered backend: WAL replay must rebuild not just
-// the same indexed set but the SAME runs. Sealing is purely size-triggered
-// (no wall clock), so replaying the upload stream in order reproduces every
-// run boundary — rows, ts_min, ts_max — exactly. Compaction timing is the
-// one nondeterministic input, so these servers run with compaction off
-// (compact_interval_ms = 0 and no checkpointer cadence to inherit).
+// Restart tests for the server's tiered index: WAL replay must rebuild not
+// just the same indexed set but the SAME runs. Sealing is purely
+// size-triggered (no wall clock), so replaying the upload stream in order
+// reproduces every run boundary — rows, ts_min, ts_max — exactly.
+// Compaction timing is the one nondeterministic input, so these servers run
+// with compaction off (compact_interval_ms = 0 and no checkpointer cadence
+// to inherit).
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -37,7 +38,6 @@ struct ScopedDir {
 
 ServerIndexConfig tiered_config(std::size_t memtable) {
   ServerIndexConfig icfg;
-  icfg.backend = ServerIndexConfig::Backend::kTiered;
   icfg.memtable = memtable;
   return icfg;
 }
@@ -99,7 +99,6 @@ TEST(TieredRestartTest, WalReplayRebuildsIdenticalRuns) {
     dcfg.data_dir = dir.path;
     // Small memtable → many sealed runs from 500 rows.
     CloudServer server(tiered_config(64), {}, dcfg);
-    ASSERT_EQ(server.backend(), ServerIndexConfig::Backend::kTiered);
     ingest_in_batches(server, reps, 23);  // batch != memtable: straddling seals
     const auto stats = server.tiered_run_stats();
     ASSERT_TRUE(stats.has_value());
@@ -170,13 +169,6 @@ TEST(TieredRestartTest, CheckpointRestartPreservesTheIndexedSet) {
     EXPECT_LE(stats->runs.size(), 1u);
     EXPECT_EQ(canonical_hits(server, q), hits_before);
   }
-}
-
-TEST(TieredRestartTest, NonTieredServersReportNoRunStats) {
-  CloudServer single;
-  EXPECT_FALSE(single.tiered_run_stats().has_value());
-  EXPECT_FALSE(single.seal_index_now());
-  EXPECT_EQ(single.compact_index_now(), 0u);
 }
 
 }  // namespace

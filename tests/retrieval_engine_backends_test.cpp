@@ -1,13 +1,16 @@
 // The retrieval engine is generic over the index backend: every backend
 // exposing query(GeoTimeRange, visitor) must produce identical ranked
-// results. This pins the contract the bench comparisons rely on.
+// results. This pins the contract the bench comparisons rely on, and
+// checks the server's tiered index against the paper's R-tree as oracle.
 
 #include <gtest/gtest.h>
+
+#include <string>
 
 #include "index/fov_index.hpp"
 #include "index/grid_index.hpp"
 #include "index/kdtree_index.hpp"
-#include "index/sharded_fov_index.hpp"
+#include "index/tiered_fov_index.hpp"
 #include "retrieval/engine.hpp"
 #include "sim/crowd.hpp"
 #include "util/rng.hpp"
@@ -92,32 +95,59 @@ TEST_F(EngineBackendsTest, TracesAgreeOnCandidateCounts) {
   }
 }
 
-TEST_F(EngineBackendsTest, ConcurrentWrapperMatchesPlainIndex) {
-  index::ConcurrentFovIndex concurrent;
-  for (const auto& r : reps_) concurrent.insert(r);
-  retrieval::RetrievalEngine<index::FovIndex> plain(rtree_, cfg_);
-  retrieval::RetrievalEngine<index::ConcurrentFovIndex> wrapped(concurrent,
-                                                                cfg_);
-  util::Xoshiro256 rng(11);
-  for (int i = 0; i < 15; ++i) {
-    const auto q = random_query(rng);
-    ASSERT_EQ(keys(plain.search(q)), keys(wrapped.search(q))) << i;
-  }
-}
+// The tiered index visits candidates memtable first, then run by run in
+// STR order; the engine's deterministic (distance, video, segment) ranking
+// must erase that difference. Checked bit for bit — ids, interval, fov,
+// distance and relevance — against the FovIndex oracle in three shapes:
+// every row still in the memtable, rows spread over many sealed runs, and
+// one fully compacted run.
+TEST_F(EngineBackendsTest, TieredIndexMatchesFovIndexOracle) {
+  retrieval::RetrievalEngine<index::FovIndex> oracle(rtree_, cfg_);
+  const auto expect_oracle_rankings = [&](const index::TieredFovIndex& tiered,
+                                          const std::string& shape) {
+    retrieval::RetrievalEngine<index::TieredFovIndex> engine(tiered, cfg_);
+    util::Xoshiro256 rng(11);
+    std::size_t hits = 0;
+    for (int i = 0; i < 40; ++i) {
+      const auto q = random_query(rng);
+      const auto want = oracle.search(q);
+      const auto got = engine.search(q);
+      ASSERT_EQ(got.size(), want.size()) << shape << ", query " << i;
+      for (std::size_t j = 0; j < want.size(); ++j) {
+        const auto& a = got[j];
+        const auto& b = want[j];
+        const std::string at = shape + ", query " + std::to_string(i) +
+                               ", rank " + std::to_string(j);
+        ASSERT_EQ(a.rep.video_id, b.rep.video_id) << at;
+        ASSERT_EQ(a.rep.segment_id, b.rep.segment_id) << at;
+        ASSERT_EQ(a.rep.t_start, b.rep.t_start) << at;
+        ASSERT_EQ(a.rep.t_end, b.rep.t_end) << at;
+        ASSERT_EQ(a.rep.fov, b.rep.fov) << at;
+        ASSERT_EQ(a.distance_m, b.distance_m) << at;
+        ASSERT_EQ(a.relevance, b.relevance) << at;
+      }
+      hits += want.size();
+    }
+    EXPECT_GT(hits, 0u) << shape << ": every query came back empty";
+  };
 
-// The sharded index visits candidates in a backend-specific order; the
-// engine's deterministic (distance, video, segment) ranking must erase
-// that difference — including the exact order of the returned top-N.
-TEST_F(EngineBackendsTest, ShardedIndexMatchesPlainIndex) {
-  index::ShardedFovIndex sharded({.shards = 6});
-  sharded.insert_batch(reps_);
-  retrieval::RetrievalEngine<index::FovIndex> plain(rtree_, cfg_);
-  retrieval::RetrievalEngine<index::ShardedFovIndex> wrapped(sharded, cfg_);
-  util::Xoshiro256 rng(12);
-  for (int i = 0; i < 15; ++i) {
-    const auto q = random_query(rng);
-    ASSERT_EQ(keys(plain.search(q)), keys(wrapped.search(q))) << i;
+  index::TieredFovIndex memtable_only({.memtable_capacity = 2 * reps_.size()});
+  memtable_only.insert_batch(reps_);
+  ASSERT_TRUE(memtable_only.run_stats().runs.empty());
+  expect_oracle_rankings(memtable_only, "memtable only");
+
+  index::TieredFovIndex tiered({.memtable_capacity = 256});
+  tiered.insert_batch(reps_);
+  ASSERT_GE(tiered.run_stats().runs.size(), 8u);
+  expect_oracle_rankings(tiered, "sealed runs");
+
+  ASSERT_TRUE(tiered.seal_now());
+  while (tiered.compact_now(/*full=*/true) > 0) {
   }
+  const auto compacted = tiered.run_stats();
+  ASSERT_EQ(compacted.runs.size(), 1u);
+  ASSERT_EQ(compacted.memtable_rows, 0u);
+  expect_oracle_rankings(tiered, "compacted");
 }
 
 }  // namespace

@@ -2,11 +2,10 @@
 // run a fixed ingest+checkpoint workload against a CloudServer whose store
 // I/O goes through a FaultyEnv, failing exactly one operation per run —
 // every ordinal in turn, alternating hard failures and torn writes — then
-// crash and recover with a healthy disk. The invariant, on the plain and
-// the sharded index backend alike: every acked upload is recovered exactly
-// once, nothing is indexed twice, and recovery itself survives any single
-// I/O fault (either by completing or by failing loudly and succeeding on
-// the clean retry).
+// crash and recover with a healthy disk. The invariant: every acked upload
+// is recovered exactly once, nothing is indexed twice, and recovery itself
+// survives any single I/O fault (either by completing or by failing loudly
+// and succeeding on the clean retry).
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -29,7 +28,6 @@ using namespace svg::store;
 using svg::net::CloudServer;
 using svg::net::IngestStatus;
 using svg::net::ServerDurabilityConfig;
-using svg::net::ServerIndexConfig;
 using svg::net::UploadMessage;
 
 constexpr std::size_t kUploads = 12;
@@ -76,10 +74,6 @@ ServerDurabilityConfig durable_cfg(const std::string& dir, Env* env) {
   return cfg;
 }
 
-ServerIndexConfig index_cfg(ServerIndexConfig::Backend backend) {
-  return ServerIndexConfig(backend, /*shard_count=*/4);
-}
-
 /// The fixed workload: ingest kUploads one-rep uploads with a manual
 /// checkpoint halfway through. Returns which uploads were acked.
 std::vector<bool> run_workload(CloudServer& server) {
@@ -117,12 +111,12 @@ void verify_recovered(CloudServer& server, const std::vector<bool>& acked,
 }
 
 /// Count the store I/O ops the workload issues after construction.
-std::uint64_t probe_workload_ops(ServerIndexConfig::Backend backend) {
+std::uint64_t probe_workload_ops() {
   ScopedDir dir("probe");
   FaultyEnv env{StoreFaultPlan{}};
   std::uint64_t base = 0;
   {
-    CloudServer server(index_cfg(backend), {}, durable_cfg(dir.path, &env));
+    CloudServer server({}, {}, durable_cfg(dir.path, &env));
     base = env.ops();
     run_workload(server);
   }
@@ -130,8 +124,8 @@ std::uint64_t probe_workload_ops(ServerIndexConfig::Backend backend) {
   return env.ops() - base;
 }
 
-void sweep_ingest_and_checkpoint(ServerIndexConfig::Backend backend) {
-  const std::uint64_t n = probe_workload_ops(backend);
+TEST(FaultSweepTest, IngestEveryIoFailsOnce) {
+  const std::uint64_t n = probe_workload_ops();
   ASSERT_GT(n, 20u);  // the workload must actually exercise the disk
 
   for (std::uint64_t k = 0; k < n; ++k) {
@@ -140,8 +134,7 @@ void sweep_ingest_and_checkpoint(ServerIndexConfig::Backend backend) {
     FaultyEnv env{StoreFaultPlan{}};
     std::vector<bool> acked;
     {
-      CloudServer server(index_cfg(backend), {},
-                         durable_cfg(dir.path, &env));
+      CloudServer server({}, {}, durable_cfg(dir.path, &env));
       ASSERT_TRUE(server.recovery().ok) << ctx;
       env.fail_once_at(env.ops() + k, /*torn=*/(k % 2) == 1);
       acked = run_workload(server);
@@ -149,20 +142,18 @@ void sweep_ingest_and_checkpoint(ServerIndexConfig::Backend backend) {
     ASSERT_EQ(env.stats().injected, 1u) << ctx;
 
     // The disk comes back healthy; recovery must restore the acked prefix.
-    CloudServer recovered(index_cfg(backend), {},
-                          durable_cfg(dir.path, nullptr));
+    CloudServer recovered({}, {}, durable_cfg(dir.path, nullptr));
     ASSERT_TRUE(recovered.recovery().ok) << ctx;
     verify_recovered(recovered, acked, ctx);
   }
 }
 
-void sweep_recovery(ServerIndexConfig::Backend backend) {
+TEST(FaultSweepTest, RecoveryEveryIoFailsOnce) {
   // Prepare one clean crashed directory: full workload, checkpoint taken,
   // everything acked.
   ScopedDir prep("rec_prep");
   {
-    CloudServer server(index_cfg(backend), {},
-                       durable_cfg(prep.path, nullptr));
+    CloudServer server({}, {}, durable_cfg(prep.path, nullptr));
     const auto acked = run_workload(server);
     for (std::size_t i = 0; i < kUploads; ++i) ASSERT_TRUE(acked[i]);
   }
@@ -174,7 +165,7 @@ void sweep_recovery(ServerIndexConfig::Backend backend) {
     ScopedDir dir("rec_probe");
     copy_dir(prep.path, dir.path);
     FaultyEnv env{StoreFaultPlan{}};
-    CloudServer server(index_cfg(backend), {}, durable_cfg(dir.path, &env));
+    CloudServer server({}, {}, durable_cfg(dir.path, &env));
     n = env.ops();
   }
   ASSERT_GT(n, 3u);
@@ -187,7 +178,7 @@ void sweep_recovery(ServerIndexConfig::Backend backend) {
     env.fail_once_at(k, /*torn=*/(k % 2) == 1);
     bool survived = false;
     try {
-      CloudServer server(index_cfg(backend), {}, durable_cfg(dir.path, &env));
+      CloudServer server({}, {}, durable_cfg(dir.path, &env));
       // Recovery claimed success under the fault: it must be complete.
       ASSERT_TRUE(server.recovery().ok) << ctx;
       verify_recovered(server, all_acked, ctx);
@@ -197,27 +188,11 @@ void sweep_recovery(ServerIndexConfig::Backend backend) {
       // must not have corrupted anything: a clean retry has to succeed.
     }
     if (!survived) {
-      CloudServer retry(index_cfg(backend), {}, durable_cfg(dir.path, nullptr));
+      CloudServer retry({}, {}, durable_cfg(dir.path, nullptr));
       ASSERT_TRUE(retry.recovery().ok) << ctx << " (clean retry)";
       verify_recovered(retry, all_acked, ctx + " (clean retry)");
     }
   }
-}
-
-TEST(FaultSweepTest, IngestEveryIoFailsOncePlainBackend) {
-  sweep_ingest_and_checkpoint(ServerIndexConfig::Backend::kConcurrent);
-}
-
-TEST(FaultSweepTest, IngestEveryIoFailsOnceShardedBackend) {
-  sweep_ingest_and_checkpoint(ServerIndexConfig::Backend::kSharded);
-}
-
-TEST(FaultSweepTest, RecoveryEveryIoFailsOncePlainBackend) {
-  sweep_recovery(ServerIndexConfig::Backend::kConcurrent);
-}
-
-TEST(FaultSweepTest, RecoveryEveryIoFailsOnceShardedBackend) {
-  sweep_recovery(ServerIndexConfig::Backend::kSharded);
 }
 
 }  // namespace

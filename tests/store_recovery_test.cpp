@@ -14,7 +14,9 @@
 #include <tuple>
 #include <vector>
 
+#include "index/fov_index.hpp"
 #include "net/server.hpp"
+#include "retrieval/engine.hpp"
 #include "sim/crowd.hpp"
 #include "store/snapshot.hpp"
 #include "store/wal.hpp"
@@ -90,6 +92,9 @@ RecoverAndOpenResult recover_collect(const std::string& dir,
                                      std::vector<RepresentativeFov>& out) {
   WalOptions opts;
   opts.dir = dir;
+  // These tests check what recovery restores, not what survives power
+  // loss; skipping fsync keeps the every-offset sweep below ~1 s.
+  opts.fsync = FsyncPolicy::kNone;
   return recover_and_open(
       opts, [&](std::span<const RepresentativeFov> reps) {
         out.insert(out.end(), reps.begin(), reps.end());
@@ -280,56 +285,83 @@ TEST(RecoveryTest, CheckpointRaceNeverDuplicatesOrLosesRecords) {
   EXPECT_EQ(keys_of(restored), keys_of(all));
 }
 
-TEST(RecoveryTest, PlainAndShardedBackendsRecoverIdentically) {
-  ScopedDir dir("backends");
+// A server recovered from checkpoint + WAL replay answers exactly as the
+// paper's R-tree over the same records, restored through the same codec.
+TEST(RecoveryTest, RecoveredServerMatchesFovIndexOracle) {
+  ScopedDir dir("oracle");
+  // A wide radius of view, so every query keeps a few dozen cameras.
+  svg::retrieval::RetrievalConfig cfg;
+  cfg.camera = {30.0, 1000.0};
+  cfg.top_n = 25;
   {
     svg::net::ServerDurabilityConfig dcfg;
     dcfg.data_dir = dir.path;
     dcfg.segment_bytes = 2048;  // several segments
-    svg::net::CloudServer server({}, {}, dcfg);
+    svg::net::CloudServer server({}, cfg, dcfg);
     const auto all = sample_reps(400, 41);
     for (std::size_t i = 0; i < all.size(); i += 20) {
+      // Checkpoint halfway: recovery loads the snapshot, then replays.
+      if (i == all.size() / 2) {
+        ASSERT_TRUE(server.checkpoint_now());
+      }
       svg::net::UploadMessage msg;
       msg.video_id = i;
       msg.segments.assign(all.begin() + static_cast<std::ptrdiff_t>(i),
                           all.begin() + static_cast<std::ptrdiff_t>(i + 20));
       server.ingest(msg);
     }
-    ASSERT_TRUE(server.checkpoint_now());
+    server.sync_wal();
   }
 
-  ScopedDir plain_dir("backends_plain");
-  ScopedDir sharded_dir("backends_sharded");
-  copy_dir(dir.path, plain_dir.path);
-  copy_dir(dir.path, sharded_dir.path);
-
-  svg::net::ServerDurabilityConfig pd;
-  pd.data_dir = plain_dir.path;
-  svg::net::CloudServer plain({}, {}, pd);
-
-  svg::net::ServerIndexConfig sharded_cfg(
-      svg::net::ServerIndexConfig::Backend::kSharded, 4);
-  svg::net::ServerDurabilityConfig sd;
-  sd.data_dir = sharded_dir.path;
-  svg::net::CloudServer sharded(sharded_cfg, {}, sd);
-
-  EXPECT_EQ(plain.indexed_segments(), 400u);
-  EXPECT_EQ(sharded.indexed_segments(), 400u);
-  EXPECT_EQ(plain.recovery().next_seq, sharded.recovery().next_seq);
-
-  // Identical query answers through both recovered backends.
-  svg::retrieval::Query q;
-  q.center = svg::sim::CityModel{}.center;
-  q.radius_m = 800.0;
-  q.t_start = 1'400'000'000'000;
-  q.t_end = q.t_start + 86'400'000;
-  const auto a = plain.search(q);
-  const auto b = sharded.search(q);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].rep.video_id, b[i].rep.video_id);
-    EXPECT_EQ(a[i].rep.segment_id, b[i].rep.segment_id);
+  // The oracle's records come from recovering a copy of the directory.
+  std::vector<RepresentativeFov> restored;
+  std::uint64_t next_seq = 0;
+  {
+    ScopedDir copy("oracle_copy");
+    copy_dir(dir.path, copy.path);
+    auto open = recover_collect(copy.path, restored);
+    ASSERT_TRUE(open.result.ok) << open.result.error;
+    next_seq = open.result.next_seq;
   }
+  svg::index::FovIndex oracle_index;
+  for (const auto& r : restored) oracle_index.insert(r);
+  svg::retrieval::RetrievalEngine<svg::index::FovIndex> oracle(oracle_index,
+                                                               cfg);
+
+  svg::net::ServerDurabilityConfig dcfg;
+  dcfg.data_dir = dir.path;
+  svg::net::CloudServer server({}, cfg, dcfg);
+  ASSERT_TRUE(server.recovery().ok);
+  EXPECT_GT(server.recovery().wal_records_replayed, 0u);
+  EXPECT_EQ(server.recovery().next_seq, next_seq);
+  ASSERT_EQ(server.indexed_segments(), 400u);
+  ASSERT_EQ(oracle_index.size(), 400u);
+
+  const svg::sim::CityModel city;
+  svg::util::Xoshiro256 rng(43);
+  std::size_t hits = 0;
+  for (int i = 0; i < 16; ++i) {
+    svg::retrieval::Query q;
+    q.center = city.random_point(rng);
+    q.radius_m = rng.uniform(100.0, 800.0);
+    q.t_start = 1'400'000'000'000 +
+                static_cast<svg::core::TimestampMs>(rng.bounded(43'200'000));
+    q.t_end = q.t_start + 43'200'000;
+    const auto want = oracle.search(q);
+    const auto got = server.search(q);
+    ASSERT_EQ(got.size(), want.size()) << "query " << i;
+    for (std::size_t j = 0; j < want.size(); ++j) {
+      EXPECT_EQ(got[j].rep.video_id, want[j].rep.video_id) << i << "/" << j;
+      EXPECT_EQ(got[j].rep.segment_id, want[j].rep.segment_id) << i << "/" << j;
+      EXPECT_EQ(got[j].rep.t_start, want[j].rep.t_start) << i << "/" << j;
+      EXPECT_EQ(got[j].rep.t_end, want[j].rep.t_end) << i << "/" << j;
+      EXPECT_EQ(got[j].rep.fov, want[j].rep.fov) << i << "/" << j;
+      EXPECT_EQ(got[j].distance_m, want[j].distance_m) << i << "/" << j;
+      EXPECT_EQ(got[j].relevance, want[j].relevance) << i << "/" << j;
+    }
+    hits += want.size();
+  }
+  EXPECT_GT(hits, 0u) << "every query came back empty";
 }
 
 TEST(RecoveryTest, SummaryMentionsWhatWasRestored) {

@@ -183,8 +183,7 @@ TEST(ScrubTest, TornTailIsLegalButCompleteFrameCorruptionIsNotReportOnly) {
   // what a crash mid-append leaves. Legal — scrub stays clean.
   const auto original = read_bytes(last);
   ASSERT_GT(original.size(), 1u);
-  auto torn = original;
-  torn.pop_back();
+  const std::vector<std::uint8_t> torn(original.begin(), original.end() - 1);
   write_bytes(last, torn);
   const ScrubReport torn_report = scrub_directory(dir.path);
   EXPECT_TRUE(torn_report.clean());
