@@ -130,7 +130,6 @@
 #include "net/fault.hpp"
 #include "net/upload_queue.hpp"
 #include "net/server.hpp"
-#include "net/snapshot.hpp"
 #include "obs/families.hpp"
 #include "obs/journal.hpp"
 #include "obs/trace.hpp"
@@ -402,7 +401,7 @@ int cmd_generate(const std::map<std::string, std::string>& flags) {
               << ")\n";
     if (flags.count("out") == 0) return dump_metrics(flags);
   }
-  if (!net::save_snapshot_file(corpus, out)) {
+  if (!store::save_snapshot_file(corpus, out)) {
     std::cerr << "error: cannot write " << out << "\n";
     return 2;
   }
@@ -413,7 +412,7 @@ int cmd_generate(const std::map<std::string, std::string>& flags) {
 
 int cmd_info(const std::map<std::string, std::string>& flags) {
   const auto in = flag_str(flags, "in", "corpus.svgx");
-  const auto reps = net::load_snapshot_file(in);
+  const auto reps = store::load_snapshot_file(in);
   if (!reps) {
     std::cerr << "error: cannot read " << in << "\n";
     return 2;
@@ -653,14 +652,14 @@ int cmd_wal_dump(const std::map<std::string, std::string>& flags) {
 std::vector<std::uint8_t> canonical_index(net::CloudServer& server,
                                           const std::string& scratch) {
   if (!server.save_snapshot(scratch)) return {};
-  auto reps = net::load_snapshot_file(scratch);
+  auto reps = store::load_snapshot_file(scratch);
   std::filesystem::remove(scratch);
   if (!reps) return {};
   std::sort(reps->begin(), reps->end(), [](const auto& a, const auto& b) {
     return std::tie(a.video_id, a.segment_id, a.t_start) <
            std::tie(b.video_id, b.segment_id, b.t_start);
   });
-  return net::encode_snapshot(*reps);
+  return store::encode_snapshot(*reps);
 }
 
 int cmd_chaos(const std::map<std::string, std::string>& flags) {

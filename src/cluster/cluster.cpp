@@ -134,25 +134,28 @@ std::vector<std::uint8_t> Cluster::dispatch(
     return handle_fanout_query(*n.server, i, request);
   }
   const auto msg = net::decode_upload(request);
-  if (n.fence != nullptr && msg) {
+  if (!msg) {
+    // Through the byte path only so the node counts the rejection; an
+    // undecodable upload gets no ack.
+    (void)n.server->handle_upload_acked(request);
+    return {};
+  }
+  if (n.fence != nullptr) {
     if (const auto refusal = n.fence->admit_upload(*msg)) {
       return net::encode_upload_ack(*refusal);
     }
   }
-  auto ack = n.server->handle_upload_acked(request);
-  if (!ack) return {};
-  if (msg && !msg->segments.empty()) {
+  const auto out = n.server->ingest_admitted(*msg);
+  if (out.ack.status == net::UploadAckStatus::kAccepted &&
+      !msg->segments.empty()) {
     // Fold a newly indexed record into the anti-entropy book (duplicates
     // are already accounted; refusals never landed).
-    const auto decoded = net::decode_upload_ack(*ack);
-    if (decoded && decoded->status == net::UploadAckStatus::kAccepted) {
-      const std::size_t p = partitioner_.partition_of(
-          msg->segments.front().fov.p.lng, msg->segments.front().fov.p.lat);
-      n.book.add(p, msg->upload_id,
-                 record_digest(msg->upload_id, msg->segments));
-    }
+    const std::size_t p = partitioner_.partition_of(
+        msg->segments.front().fov.p.lng, msg->segments.front().fov.p.lat);
+    n.book.add(p, msg->upload_id,
+               record_digest(msg->upload_id, msg->segments));
   }
-  return std::move(*ack);
+  return net::encode_upload_ack(out.ack);
 }
 
 void Cluster::set_nodes_up_gauge() {
@@ -283,10 +286,7 @@ std::size_t Cluster::replicate_round(std::size_t max_records) {
         // refusal): both ends adopt the newer epoch they see, so a
         // probe-isolated primary still hears about a retarget from its
         // follower's acks.
-        if (primary.fence != nullptr) {
-          batch->epoch = primary.fence->epoch();
-          batch->has_epoch = true;
-        }
+        if (primary.fence != nullptr) batch->epoch = primary.fence->epoch();
         const auto bytes = encode_replicate_batch(*batch);
         std::vector<std::vector<std::uint8_t>> copies;
         if (primary.faulty_repl_link != nullptr) {
@@ -297,8 +297,8 @@ std::size_t Cluster::replicate_round(std::size_t max_records) {
         for (const auto& copy : copies) {
           const auto delivered = decode_replicate_batch(copy);
           if (!delivered) continue;  // corrupted in flight
-          if (delivered->has_epoch && follower.fence != nullptr) {
-            follower.fence->observe_epoch(delivered->epoch);
+          if (delivered->epoch && follower.fence != nullptr) {
+            follower.fence->observe_epoch(*delivered->epoch);
           }
           std::size_t applied = 0;
           applied_[i] = apply_replicate_batch(
@@ -322,10 +322,7 @@ std::size_t Cluster::replicate_round(std::size_t max_records) {
         ReplicateAckMessage ack;
         ack.follower = f;
         ack.applied_seq = applied_[i];
-        if (follower.fence != nullptr) {
-          ack.epoch = follower.fence->epoch();
-          ack.has_epoch = true;
-        }
+        if (follower.fence != nullptr) ack.epoch = follower.fence->epoch();
         const auto ack_bytes = encode_replicate_ack(ack);
         std::vector<std::vector<std::uint8_t>> ack_copies;
         if (primary.faulty_repl_link != nullptr) {
@@ -337,8 +334,8 @@ std::size_t Cluster::replicate_round(std::size_t max_records) {
           const auto got = decode_replicate_ack(copy);
           if (!got) continue;
           acked_[i] = std::max(acked_[i], got->applied_seq);
-          if (got->has_epoch && primary.fence != nullptr) {
-            primary.fence->observe_epoch(got->epoch);
+          if (got->epoch && primary.fence != nullptr) {
+            primary.fence->observe_epoch(*got->epoch);
           }
         }
       }

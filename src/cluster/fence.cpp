@@ -52,12 +52,12 @@ void NodeFence::observe_epoch(std::uint64_t epoch) {
 std::optional<net::UploadAck> NodeFence::admit_upload(
     const net::UploadMessage& msg) {
   std::lock_guard lock(mu_);
-  if (msg.has_route_epoch && msg.route_epoch > epoch_) {
+  if (msg.route_epoch && *msg.route_epoch > epoch_) {
     // The sender's table is newer and routed this partition to us — that
     // table is the single authority for its epoch, so acceptance here
     // cannot dual-ack. Adopting the epoch also unfences: a current-epoch
     // router vouching for us is as good as a heartbeat.
-    epoch_ = msg.route_epoch;
+    epoch_ = *msg.route_epoch;
     have_table_ = false;
     if (fenced_) {
       fenced_ = false;
@@ -72,13 +72,13 @@ std::optional<net::UploadAck> NodeFence::admit_upload(
     // see. Refuse all ingest ≤ our epoch until a heartbeat says otherwise.
     return refuse(msg);
   }
-  if (!msg.has_route_epoch) {
-    // Legacy unstamped sender: admit only what the cached table says we
-    // own (no epoch to compare, ownership is the whole check).
+  if (!msg.route_epoch) {
+    // Unstamped sender: admit only what the cached table says we own (no
+    // epoch to compare, ownership is the whole check).
     if (have_table_ && !owns_all(msg)) return refuse(msg);
     return std::nullopt;
   }
-  if (msg.route_epoch < epoch_) return refuse(msg);  // stale router
+  if (*msg.route_epoch < epoch_) return refuse(msg);  // stale router
   // Same epoch: accept only partitions the table of this epoch gives us —
   // a demoted primary that has SEEN the new table refuses its lost
   // partitions here even though it never fenced.
@@ -104,7 +104,7 @@ std::uint32_t NodeFence::missed_heartbeats() const {
 net::UploadAck NodeFence::refuse(const net::UploadMessage& msg) const {
   obs::cluster_metrics().stale_epoch_rejects.inc();
   obs::journal_event(obs::JournalEvent::kStaleEpochRejected, node_,
-                     msg.has_route_epoch ? msg.route_epoch + 1 : 0, epoch_);
+                     msg.route_epoch ? *msg.route_epoch + 1 : 0, epoch_);
   net::UploadAck ack;
   ack.upload_id = msg.upload_id;
   ack.status = net::UploadAckStatus::kStaleEpoch;

@@ -7,9 +7,9 @@
 // closes both halves of that hole:
 //
 // * Stamp checking: routers stamp the RoutingTable epoch they routed by
-//   into every v2 upload (net/wire.hpp). A stamp older than the node's
-//   epoch is refused with kStaleEpoch carrying the node's epoch, so the
-//   sender can refresh and retry. A NEWER stamp is proof the current
+//   into every upload (net/wire.hpp, kTagEpoch). A stamp older than the
+//   node's epoch is refused with kStaleEpoch carrying the node's epoch,
+//   so the sender can refresh and retry. A NEWER stamp is proof the current
 //   table routes this partition here — the node adopts the epoch and
 //   admits (this is also how a freshly promoted follower learns its new
 //   epoch from traffic before the next probe round reaches it).

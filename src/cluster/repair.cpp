@@ -1,7 +1,7 @@
 #include "cluster/repair.hpp"
 
-#include "store/crc32c.hpp"
 #include "store/wal.hpp"
+#include "util/crc32c.hpp"
 #include "util/rng.hpp"
 
 namespace svg::cluster {
@@ -17,7 +17,7 @@ std::uint64_t record_digest(std::uint64_t upload_id,
   // and the WAL round-trip byte-stably (fixed-point quantization).
   const auto payload = store::encode_upload_record(reps, upload_id);
   util::SplitMix64 mix(upload_id ^
-                       (static_cast<std::uint64_t>(store::crc32c(payload)) *
+                       (static_cast<std::uint64_t>(util::crc32c(payload)) *
                         0x9E3779B97F4A7C15ull));
   return mix.next();
 }

@@ -23,7 +23,7 @@ std::uint64_t sub_upload_id(std::uint64_t upload_id, std::size_t partition) {
                        (static_cast<std::uint64_t>(partition) + 1) *
                            0x9E3779B97F4A7C15ULL);
   const std::uint64_t id = mix.next();
-  // 0 means "legacy id-less upload" on the wire and would bypass dedup.
+  // 0 means "no dedup id" on the wire and would bypass dedup.
   return id == 0 ? 1 : id;
 }
 
@@ -58,8 +58,8 @@ std::optional<net::UploadAck> Router::route_upload(
   }
 
   // Resume from any earlier partially-delivered attempt of this parent:
-  // settled legs are skipped, only missing legs are re-offered. Legacy
-  // id-less uploads (upload_id == 0) cannot be memoised — they fall back
+  // settled legs are skipped, only missing legs are re-offered. Id-less
+  // uploads (upload_id == 0) cannot be memoised — they fall back
   // to full re-send, which per-node dedup cannot absorb but which matches
   // their pre-cluster at-most-once contract.
   ResumeState state;
@@ -93,7 +93,6 @@ std::optional<net::UploadAck> Router::route_upload(
       // the node can refuse us once the table has moved on. Read per-leg —
       // a mid-attempt refresh (kStaleEpoch below) upgrades later legs.
       sub.route_epoch = table_.epoch;
-      sub.has_route_epoch = true;
     }
     const auto bytes = net::encode_upload(sub);
     m.subuploads.inc();

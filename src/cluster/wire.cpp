@@ -2,7 +2,7 @@
 
 #include <bit>
 
-#include "store/crc32c.hpp"
+#include "net/wire.hpp"
 #include "store/snapshot.hpp"
 #include "util/bytes.hpp"
 
@@ -12,32 +12,6 @@ namespace {
 
 using util::ByteReader;
 using util::ByteWriter;
-
-/// Append the crc32c trailer over everything written so far and return
-/// the sealed buffer — the same framing net/wire.cpp gives v2 uploads.
-std::vector<std::uint8_t> seal(ByteWriter& w) {
-  auto bytes = w.take();
-  const std::uint32_t crc = store::crc32c(bytes);
-  bytes.push_back(static_cast<std::uint8_t>(crc & 0xFF));
-  bytes.push_back(static_cast<std::uint8_t>((crc >> 8) & 0xFF));
-  bytes.push_back(static_cast<std::uint8_t>((crc >> 16) & 0xFF));
-  bytes.push_back(static_cast<std::uint8_t>((crc >> 24) & 0xFF));
-  return bytes;
-}
-
-/// Verify the trailer; returns the body (without the crc) or nullopt.
-std::optional<std::span<const std::uint8_t>> unseal(
-    std::span<const std::uint8_t> bytes) {
-  if (bytes.size() < 5) return std::nullopt;
-  const auto body = bytes.first(bytes.size() - 4);
-  const auto* t = bytes.data() + bytes.size() - 4;
-  const std::uint32_t want = static_cast<std::uint32_t>(t[0]) |
-                             static_cast<std::uint32_t>(t[1]) << 8 |
-                             static_cast<std::uint32_t>(t[2]) << 16 |
-                             static_cast<std::uint32_t>(t[3]) << 24;
-  if (store::crc32c(body) != want) return std::nullopt;
-  return body;
-}
 
 void put_double(ByteWriter& w, double v) {
   w.put_u64(std::bit_cast<std::uint64_t>(v));
@@ -61,12 +35,12 @@ std::vector<std::uint8_t> encode_query_fanout(const QueryFanoutMessage& m) {
   put_double(w, m.center.lng);
   put_double(w, m.radius_m);
   w.put_varint(m.top_n);
-  return seal(w);
+  return util::seal(w);
 }
 
 std::optional<QueryFanoutMessage> decode_query_fanout(
     std::span<const std::uint8_t> bytes) {
-  const auto body = unseal(bytes);
+  const auto body = util::unseal(bytes);
   if (!body) return std::nullopt;
   ByteReader r(*body);
   const auto tag = r.get_u8();
@@ -107,12 +81,12 @@ std::vector<std::uint8_t> encode_fanout_results(
     put_double(w, r.distance_m);
     put_double(w, r.relevance);
   }
-  return seal(w);
+  return util::seal(w);
 }
 
 std::optional<FanoutResultsMessage> decode_fanout_results(
     std::span<const std::uint8_t> bytes) {
-  const auto body = unseal(bytes);
+  const auto body = util::unseal(bytes);
   if (!body) return std::nullopt;
   ByteReader r(*body);
   const auto tag = r.get_u8();
@@ -150,15 +124,13 @@ std::vector<std::uint8_t> encode_replicate_batch(
     w.put_varint(p.size());
     w.put_bytes(p);
   }
-  // Optional trailing epoch stamp (epoch + 1, non-zero rule) — absent
-  // stamps keep the bytes identical to pre-fencing encoders.
-  if (m.has_epoch) w.put_varint(m.epoch + 1);
-  return seal(w);
+  if (m.epoch) w.put_ext(net::kTagEpoch, *m.epoch);
+  return util::seal(w);
 }
 
 std::optional<ReplicateBatchMessage> decode_replicate_batch(
     std::span<const std::uint8_t> bytes) {
-  const auto body = unseal(bytes);
+  const auto body = util::unseal(bytes);
   if (!body) return std::nullopt;
   ByteReader r(*body);
   const auto tag = r.get_u8();
@@ -174,21 +146,14 @@ std::optional<ReplicateBatchMessage> decode_replicate_batch(
   m.payloads.reserve(*count);
   for (std::uint64_t i = 0; i < *count; ++i) {
     const auto len = r.get_varint();
-    if (!len || *len > r.remaining()) return std::nullopt;
-    const auto at = body->subspan(r.position(), *len);
-    m.payloads.emplace_back(at.begin(), at.end());
-    // Advance the reader past the raw bytes.
-    for (std::uint64_t b = 0; b < *len; ++b) {
-      if (!r.get_u8()) return std::nullopt;
-    }
+    if (!len) return std::nullopt;
+    const auto payload = r.get_bytes(*len);
+    if (!payload) return std::nullopt;
+    m.payloads.emplace_back(payload->begin(), payload->end());
   }
-  if (!r.exhausted()) {
-    // Trailing epoch stamp: exactly one non-zero varint, nothing after.
-    const auto stamp = r.get_varint();
-    if (!stamp || *stamp == 0 || !r.exhausted()) return std::nullopt;
-    m.epoch = *stamp - 1;
-    m.has_epoch = true;
-  }
+  const auto ext = r.get_ext(util::ext_bit(net::kTagEpoch));
+  if (!ext) return std::nullopt;
+  m.epoch = ext->get(net::kTagEpoch);
   return m;
 }
 
@@ -197,13 +162,13 @@ std::vector<std::uint8_t> encode_replicate_ack(const ReplicateAckMessage& m) {
   w.put_u8(kMsgReplicateAck);
   w.put_varint(m.follower);
   w.put_varint(m.applied_seq);
-  if (m.has_epoch) w.put_varint(m.epoch + 1);
-  return seal(w);
+  if (m.epoch) w.put_ext(net::kTagEpoch, *m.epoch);
+  return util::seal(w);
 }
 
 std::optional<ReplicateAckMessage> decode_replicate_ack(
     std::span<const std::uint8_t> bytes) {
-  const auto body = unseal(bytes);
+  const auto body = util::unseal(bytes);
   if (!body) return std::nullopt;
   ByteReader r(*body);
   const auto tag = r.get_u8();
@@ -214,12 +179,9 @@ std::optional<ReplicateAckMessage> decode_replicate_ack(
   if (!follower || !applied) return std::nullopt;
   m.follower = *follower;
   m.applied_seq = *applied;
-  if (!r.exhausted()) {
-    const auto stamp = r.get_varint();
-    if (!stamp || *stamp == 0 || !r.exhausted()) return std::nullopt;
-    m.epoch = *stamp - 1;
-    m.has_epoch = true;
-  }
+  const auto ext = r.get_ext(util::ext_bit(net::kTagEpoch));
+  if (!ext) return std::nullopt;
+  m.epoch = ext->get(net::kTagEpoch);
   return m;
 }
 
@@ -236,12 +198,12 @@ std::vector<std::uint8_t> encode_routing_table(const RoutingTableMessage& m) {
   w.put_varint(m.table.epoch);
   w.put_varint(m.table.primary_of.size());
   for (const std::uint32_t n : m.table.primary_of) w.put_varint(n);
-  return seal(w);
+  return util::seal(w);
 }
 
 std::optional<RoutingTableMessage> decode_routing_table(
     std::span<const std::uint8_t> bytes) {
-  const auto body = unseal(bytes);
+  const auto body = util::unseal(bytes);
   if (!body) return std::nullopt;
   ByteReader r(*body);
   const auto tag = r.get_u8();

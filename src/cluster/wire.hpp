@@ -1,8 +1,9 @@
 #pragma once
-// Intra-cluster wire messages, framed exactly like the client protocol
-// (net/wire.hpp): tag byte, varint/svarint fields, crc32c trailer over
-// everything preceding it, so a FaultyLink byte flip becomes a clean
-// decode failure instead of silent state divergence.
+// Intra-cluster wire messages, in the same util frame as the client
+// protocol (net/wire.hpp): type byte, varint/svarint fields, extension
+// block under net::ExtTag numbers, crc32c over everything before it, so a
+// FaultyLink byte flip becomes a clean decode failure instead of silent
+// state divergence.
 //
 // Two deliberate departures from the client codec:
 // * Fan-out results carry FULL-PRECISION doubles (bit-cast u64) for
@@ -28,7 +29,7 @@
 
 namespace svg::cluster {
 
-// Tags continue the net/wire.hpp numbering (1–7 are taken).
+// Type bytes continue the net/wire.hpp numbering (up to 7).
 inline constexpr std::uint8_t kMsgQueryFanout = 8;
 inline constexpr std::uint8_t kMsgFanoutResults = 9;
 inline constexpr std::uint8_t kMsgReplicateBatch = 10;
@@ -56,28 +57,25 @@ struct FanoutResultsMessage {
 
 /// Primary → follower: contiguous WAL records starting at first_seq.
 ///
-/// Fencing (docs/CLUSTER.md): an optional trailing varint carries the
-/// shipper's routing epoch, stored as epoch + 1 (non-zero rule). Stale
-/// batches are NOT refused — a rejoined demoted primary legitimately
-/// ships an old-epoch WAL during resync — but the stamp lets the pair
-/// learn each other's epoch over the replication channel, which in an
-/// asymmetric partition may be the only link still alive.
+/// Extensions: kTagEpoch, the shipper's routing epoch (docs/CLUSTER.md).
+/// Stale batches are NOT refused — a rejoined demoted primary
+/// legitimately ships an old-epoch WAL during resync — but the stamp lets
+/// the pair learn each other's epoch over the replication channel, which
+/// in an asymmetric partition may be the only link still alive.
 struct ReplicateBatchMessage {
   std::uint64_t primary = 0;    ///< shipping node id
   std::uint64_t first_seq = 0;  ///< WAL seq of payloads[0]
-  std::uint64_t epoch = 0;      ///< shipper's routing epoch
-  bool has_epoch = false;       ///< false = pre-fencing shipper
+  std::optional<std::uint64_t> epoch;  ///< shipper's routing epoch
   std::vector<std::vector<std::uint8_t>> payloads;
 };
 
 /// Follower → primary: cursor after applying a batch (monotonic; the
-/// shipper takes max() so stale or reordered acks are harmless). The
-/// same optional trailing epoch stamp as the batch, carried back.
+/// shipper takes max() so stale or reordered acks are harmless).
+/// Extensions: kTagEpoch, the follower's routing epoch, carried back.
 struct ReplicateAckMessage {
   std::uint64_t follower = 0;
   std::uint64_t applied_seq = 0;
-  std::uint64_t epoch = 0;      ///< follower's routing epoch
-  bool has_epoch = false;       ///< false = pre-fencing follower
+  std::optional<std::uint64_t> epoch;  ///< follower's routing epoch
 };
 
 /// The full routing state a node (or operator tool) needs to route:

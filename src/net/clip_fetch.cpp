@@ -4,49 +4,31 @@
 #include <cmath>
 
 #include "obs/families.hpp"
-#include "store/crc32c.hpp"
+#include "util/bytes.hpp"
 
 namespace svg::net {
 
-namespace {
-
-/// Optional integrity trailer: encoders append crc32c of the message;
-/// decoders verify it only when ≥4 bytes follow the parsed fields, so
-/// trailer-less messages from older peers still decode.
-void append_crc(ByteWriter& w) {
-  w.put_u32(store::crc32c(std::span(w.bytes())));
-}
-
-bool crc_ok_if_present(std::span<const std::uint8_t> bytes,
-                       std::size_t parsed) {
-  if (bytes.size() < parsed + 4) return true;  // legacy, no trailer
-  ByteReader tail(bytes.subspan(parsed, 4));
-  const auto crc = tail.get_u32();
-  return crc && *crc == store::crc32c(bytes.first(parsed));
-}
-
-}  // namespace
-
 std::vector<std::uint8_t> encode_clip_request(const ClipRequest& m) {
-  ByteWriter w;
+  util::ByteWriter w;
   w.put_u8(kMsgClipRequest);
   w.put_varint(m.video_id);
   w.put_svarint(m.t_start);
   w.put_varint(static_cast<std::uint64_t>(m.t_end - m.t_start));
-  append_crc(w);
-  return w.take();
+  return util::seal(w);
 }
 
 std::optional<ClipRequest> decode_clip_request(
     std::span<const std::uint8_t> bytes) {
-  ByteReader r(bytes);
-  const auto tag = r.get_u8();
-  if (!tag || *tag != kMsgClipRequest) return std::nullopt;
+  const auto body = util::unseal(bytes);
+  if (!body) return std::nullopt;
+  util::ByteReader r(*body);
+  const auto type = r.get_u8();
   const auto vid = r.get_varint();
   const auto ts = r.get_svarint();
   const auto dur = r.get_varint();
-  if (!vid || !ts || !dur) return std::nullopt;
-  if (!crc_ok_if_present(bytes, r.position())) return std::nullopt;
+  if (type != kMsgClipRequest || !vid || !ts || !dur || !r.exhausted()) {
+    return std::nullopt;
+  }
   ClipRequest m;
   m.video_id = *vid;
   m.t_start = *ts;
@@ -55,7 +37,7 @@ std::optional<ClipRequest> decode_clip_request(
 }
 
 std::vector<std::uint8_t> encode_clip_response(const ClipResponse& m) {
-  ByteWriter w;
+  util::ByteWriter w;
   w.put_u8(kMsgClipResponse);
   w.put_u8(m.found ? 1 : 0);
   if (m.found) {
@@ -65,38 +47,35 @@ std::vector<std::uint8_t> encode_clip_response(const ClipResponse& m) {
     w.put_varint(m.clip.payload.size());
     w.put_bytes(m.clip.payload);
   }
-  append_crc(w);
-  return w.take();
+  return util::seal(w);
 }
 
 std::optional<ClipResponse> decode_clip_response(
     std::span<const std::uint8_t> bytes) {
-  ByteReader r(bytes);
-  const auto tag = r.get_u8();
-  if (!tag || *tag != kMsgClipResponse) return std::nullopt;
+  const auto body = util::unseal(bytes);
+  if (!body) return std::nullopt;
+  util::ByteReader r(*body);
+  const auto type = r.get_u8();
   const auto found = r.get_u8();
-  if (!found) return std::nullopt;
+  if (type != kMsgClipResponse || !found || *found > 1) return std::nullopt;
   ClipResponse m;
-  m.found = *found != 0;
-  if (!m.found) {
-    if (!crc_ok_if_present(bytes, r.position())) return std::nullopt;
-    return m;
+  m.found = *found == 1;
+  if (m.found) {
+    const auto vid = r.get_varint();
+    const auto ts = r.get_svarint();
+    const auto dur = r.get_varint();
+    const auto len = r.get_varint();
+    if (!vid || !ts || !dur || !len) return std::nullopt;
+    // get_bytes bounds the claimed length by the bytes actually present
+    // before anything is allocated.
+    const auto payload = r.get_bytes(*len);
+    if (!payload) return std::nullopt;
+    m.clip.video_id = *vid;
+    m.clip.t_start = *ts;
+    m.clip.t_end = *ts + static_cast<std::int64_t>(*dur);
+    m.clip.payload.assign(payload->begin(), payload->end());
   }
-  const auto vid = r.get_varint();
-  const auto ts = r.get_svarint();
-  const auto dur = r.get_varint();
-  const auto len = r.get_varint();
-  if (!vid || !ts || !dur || !len || r.remaining() < *len) {
-    return std::nullopt;
-  }
-  m.clip.video_id = *vid;
-  m.clip.t_start = *ts;
-  m.clip.t_end = *ts + static_cast<std::int64_t>(*dur);
-  m.clip.payload.resize(*len);
-  for (auto& b : m.clip.payload) {
-    b = *r.get_u8();  // remaining() checked above
-  }
-  if (!crc_ok_if_present(bytes, r.position())) return std::nullopt;
+  if (!r.exhausted()) return std::nullopt;
   return m;
 }
 

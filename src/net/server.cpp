@@ -6,11 +6,11 @@
 #include <stdexcept>
 #include <utility>
 
-#include "net/snapshot.hpp"
 #include "obs/families.hpp"
 #include "obs/journal.hpp"
 #include "obs/timer.hpp"
 #include "obs/trace.hpp"
+#include "store/snapshot.hpp"
 
 namespace svg::net {
 
@@ -107,89 +107,42 @@ CloudServer::CloudServer(ServerIndexConfig index_config,
 
 CloudServer::~CloudServer() = default;
 
-bool CloudServer::handle_upload(std::span<const std::uint8_t> bytes,
-                                double deadline_ms) {
-  auto& m = obs::server_metrics();
-  obs::ScopedTimer timer(m.upload_ns);
-  const auto msg = decode_upload(bytes);
+std::optional<UploadMessage> CloudServer::decode_or_reject(
+    std::span<const std::uint8_t> bytes) {
+  auto msg = decode_upload(bytes);
   if (!msg) {
+    auto& m = obs::server_metrics();
     uploads_rejected_.fetch_add(1, std::memory_order_relaxed);
     m.uploads_rejected.inc();
     m.reject_decode.inc();
-    return false;
   }
-  // Joins the client's trace when the message carried a context (or the
-  // in-process caller's open trace), so ingest spans nest under the
-  // sender's attempt.
-  obs::Span span = obs::tracer().adopted_span(
-      "server.upload", {msg->trace_id, msg->parent_span_id});
-  span.tag("upload_id", msg->upload_id);
-  span.tag("segments", msg->segments.size());
-  if (admission_ != nullptr &&
-      !admission_->admit_ingest(msg->video_id, deadline_ms).admitted) {
-    // No ack path here — the shed surfaces as a failed handle and the
-    // sender's own retry schedule covers it.
-    uploads_shed_.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
+  return msg;
+}
+
+bool CloudServer::handle_upload(std::span<const std::uint8_t> bytes,
+                                double deadline_ms) {
+  obs::ScopedTimer timer(obs::server_metrics().upload_ns);
+  const auto msg = decode_or_reject(bytes);
+  if (!msg) return false;
   // A deduped retransmit is a success from the sender's view: the upload
-  // is in the index, just not twice.
-  (void)ingest(*msg);
-  return true;
+  // is in the index, just not twice. A shed or deferred upload is not.
+  const UploadAckStatus status = admit_and_ingest(*msg, deadline_ms).ack.status;
+  return status == UploadAckStatus::kAccepted ||
+         status == UploadAckStatus::kDuplicate;
 }
 
 std::optional<std::vector<std::uint8_t>> CloudServer::handle_upload_acked(
     std::span<const std::uint8_t> bytes, double deadline_ms) {
-  auto& m = obs::server_metrics();
-  obs::ScopedTimer timer(m.upload_ns);
-  const auto msg = decode_upload(bytes);
-  if (!msg) {
-    // Corrupted/truncated on the wire — no upload_id to address an ack
-    // to, so stay silent and let the client's retry timeout handle it.
-    uploads_rejected_.fetch_add(1, std::memory_order_relaxed);
-    m.uploads_rejected.inc();
-    m.reject_decode.inc();
-    return std::nullopt;
-  }
-  obs::Span span = obs::tracer().adopted_span(
-      "server.upload", {msg->trace_id, msg->parent_span_id});
-  span.tag("upload_id", msg->upload_id);
-  span.tag("segments", msg->segments.size());
-  UploadAck ack;
-  ack.upload_id = msg->upload_id;
-  ack.segments_indexed = msg->segments.size();
-  if (admission_ != nullptr) {
-    // Admission first, dedup second: a shed request touches neither the
-    // dedup set nor the index, so its retry is a plain new ingest. The
-    // client keys by video_id — the wire's stand-in for an authenticated
-    // uploader id.
-    const auto d = admission_->admit_ingest(msg->video_id, deadline_ms);
-    if (!d.admitted) {
-      uploads_shed_.fetch_add(1, std::memory_order_relaxed);
-      ack.status = UploadAckStatus::kRetryLater;
-      ack.segments_indexed = 0;
-      ack.retry_after_ms = std::max<std::uint64_t>(
-          1, static_cast<std::uint64_t>(std::ceil(d.retry_after_ms)));
-      return encode_upload_ack(ack);
-    }
-  }
-  switch (ingest_status(*msg)) {
-    case IngestStatus::kAccepted:
-      ack.status = UploadAckStatus::kAccepted;
-      break;
-    case IngestStatus::kDuplicate:
-      ack.status = UploadAckStatus::kDuplicate;
-      break;
-    case IngestStatus::kRetryLater:
-      ack.status = UploadAckStatus::kRetryLater;
-      ack.segments_indexed = 0;
-      break;
-  }
-  return encode_upload_ack(ack);
+  obs::ScopedTimer timer(obs::server_metrics().upload_ns);
+  // Corrupted/truncated on the wire — no upload_id to address an ack to,
+  // so stay silent and let the client's retry timeout handle it.
+  const auto msg = decode_or_reject(bytes);
+  if (!msg) return std::nullopt;
+  return encode_upload_ack(admit_and_ingest(*msg, deadline_ms).ack);
 }
 
 bool CloudServer::claim_upload_id(std::uint64_t id) {
-  if (id == 0) return true;  // legacy/no-id uploads bypass dedup
+  if (id == 0) return true;  // id-less uploads bypass dedup
   std::lock_guard lock(dedup_mu_);
   return seen_upload_ids_.insert(id).second;
 }
@@ -302,15 +255,49 @@ IngestStatus CloudServer::ingest_status(const UploadMessage& msg) {
 
 CloudServer::AdmittedIngest CloudServer::ingest_admitted(
     const UploadMessage& msg, double deadline_ms) {
+  obs::ScopedTimer timer(obs::server_metrics().upload_ns);
+  return admit_and_ingest(msg, deadline_ms);
+}
+
+CloudServer::AdmittedIngest CloudServer::admit_and_ingest(
+    const UploadMessage& msg, double deadline_ms) {
+  // Joins the client's trace when the message carried a context (or the
+  // in-process caller's open trace), so ingest spans nest under the
+  // sender's attempt.
+  obs::Span span = obs::tracer().adopted_span(
+      "server.upload", {msg.trace_id, msg.parent_span_id});
+  span.tag("upload_id", msg.upload_id);
+  span.tag("segments", msg.segments.size());
   AdmittedIngest out;
+  out.ack.upload_id = msg.upload_id;
+  out.ack.status = UploadAckStatus::kRetryLater;
   if (admission_ != nullptr) {
+    // Admission first, dedup second: a shed request touches neither the
+    // dedup set nor the index, so its retry is a plain new ingest. The
+    // client keys by video_id — the wire's stand-in for an authenticated
+    // uploader id.
     out.decision = admission_->admit_ingest(msg.video_id, deadline_ms);
     if (!out.decision.admitted) {
       uploads_shed_.fetch_add(1, std::memory_order_relaxed);
+      const double hint_ms = std::ceil(out.decision.retry_after_ms);
+      out.ack.retry_after_ms =
+          std::max<std::uint64_t>(1, static_cast<std::uint64_t>(hint_ms));
       return out;
     }
   }
   out.status = ingest_status(msg);
+  switch (out.status) {
+    case IngestStatus::kAccepted:
+      out.ack.status = UploadAckStatus::kAccepted;
+      out.ack.segments_indexed = msg.segments.size();
+      break;
+    case IngestStatus::kDuplicate:
+      out.ack.status = UploadAckStatus::kDuplicate;
+      out.ack.segments_indexed = msg.segments.size();
+      break;
+    case IngestStatus::kRetryLater:
+      break;
+  }
   return out;
 }
 
@@ -401,8 +388,9 @@ bool CloudServer::save_snapshot(const std::string& path) const {
     std::lock_guard lock(dedup_mu_);
     ids.assign(seen_upload_ids_.begin(), seen_upload_ids_.end());
   }
-  return save_snapshot_file(index_.snapshot(), path, /*last_seq=*/0,
-                            std::move(ids), durability_.env);
+  return store::save_snapshot_file(index_.snapshot(), path,
+                                   /*last_seq=*/0, std::move(ids),
+                                   durability_.env);
 }
 
 std::optional<std::size_t> CloudServer::load_snapshot(

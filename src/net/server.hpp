@@ -101,22 +101,22 @@ class CloudServer {
                        AdmissionConfig admission = {});
   ~CloudServer();
 
-  /// Decode + ingest a wire-format upload. Returns false (and counts a
-  /// rejection) on malformed bytes or when admission control sheds the
-  /// request. A retransmit of an already-ingested upload_id returns true
-  /// without indexing anything twice. `deadline_ms` is this request's
-  /// admission deadline (0 = the configured lane default).
+  /// Decode + ingest a wire-format upload: the bool view of
+  /// handle_upload_acked. True only when the upload is in the index —
+  /// accepted now, or a retransmit of an already-ingested upload_id.
+  /// False on malformed bytes (counted as a rejection), when admission
+  /// control sheds the request, and when a degraded durable server defers
+  /// it. `deadline_ms` is this request's admission deadline (0 = the
+  /// configured lane default).
   bool handle_upload(std::span<const std::uint8_t> bytes,
                      double deadline_ms = 0.0);
 
   /// Decode + ingest a wire-format upload and produce the encoded
-  /// UploadAck to send back. nullopt only when the bytes are undecodable
-  /// (no upload_id to address the ack to — the client's retry timeout
-  /// covers it). The retrying-client path: at-least-once delivery on the
-  /// link, exactly-once effect in the index. When admission control sheds
-  /// the request the ack is kRetryLater with a retry-after-ms hint
-  /// (upload_id dedup is NOT consulted for a shed request — the retry
-  /// lands as a normal ingest). `deadline_ms` as in handle_upload.
+  /// UploadAck to send back (ingest_admitted's ack). nullopt only when
+  /// the bytes are undecodable (no upload_id to address the ack to — the
+  /// client's retry timeout covers it). The retrying-client path:
+  /// at-least-once delivery on the link, exactly-once effect in the
+  /// index. `deadline_ms` as in handle_upload.
   [[nodiscard]] std::optional<std::vector<std::uint8_t>> handle_upload_acked(
       std::span<const std::uint8_t> bytes, double deadline_ms = 0.0);
 
@@ -142,13 +142,19 @@ class CloudServer {
   [[nodiscard]] std::optional<std::vector<std::uint8_t>> handle_query(
       std::span<const std::uint8_t> bytes, double deadline_ms = 0.0);
 
-  /// Admission-aware in-process ingest: one admission verdict (with the
-  /// queue wait / retry-after detail the wire ack compresses) plus the
-  /// ingest outcome when admitted. `status` is meaningful only when
-  /// decision.admitted. This is the open-loop bench/svgctl entry point.
+  /// Admission-aware ingest of a decoded upload — a cluster node's
+  /// dispatch path and the open-loop bench entry point, sharing one body
+  /// (span server.upload, one svg_server_upload_ns sample) with
+  /// handle_upload and handle_upload_acked. Returns one admission verdict,
+  /// with the queue wait / retry-after detail the wire ack compresses;
+  /// the ingest outcome when admitted (`status` is meaningful only when
+  /// decision.admitted); and the ack the wire path sends back. A shed
+  /// request is answered kRetryLater with a retry-after-ms hint; upload_id
+  /// dedup is NOT consulted for it, so the retry lands as a normal ingest.
   struct AdmittedIngest {
     AdmissionDecision decision;
     IngestStatus status = IngestStatus::kRetryLater;
+    UploadAck ack;
   };
   [[nodiscard]] AdmittedIngest ingest_admitted(const UploadMessage& msg,
                                                double deadline_ms = 0.0);
@@ -237,8 +243,14 @@ class CloudServer {
   [[nodiscard]] std::uint64_t durable_wal_seq() const;
 
  private:
+  /// decode_upload, counting a failure as a rejected upload.
+  [[nodiscard]] std::optional<UploadMessage> decode_or_reject(
+      std::span<const std::uint8_t> bytes);
+  /// The body every upload entry point shares; see ingest_admitted.
+  [[nodiscard]] AdmittedIngest admit_and_ingest(const UploadMessage& msg,
+                                                double deadline_ms);
   /// Atomically claim an upload_id. False = already ingested (retransmit).
-  /// id 0 (legacy/no-id) always claims successfully and is never stored.
+  /// id 0 (no dedup id) always claims successfully and is never stored.
   bool claim_upload_id(std::uint64_t id);
   /// Release a claim after a failed WAL append — the upload was never
   /// acked, so its retry must not look like a retransmit.

@@ -18,7 +18,7 @@ std::uint64_t UploadQueue::enqueue(const UploadMessage& m) {
   // server's dedup set absorb the replay.
   util::SplitMix64 mix(seed_ ^ (next_ordinal_++ * 0x9e3779b97f4a7c15ULL));
   std::uint64_t id = mix.next();
-  if (id == 0) id = 1;  // 0 is reserved for legacy no-id uploads
+  if (id == 0) id = 1;  // 0 means "no dedup id" on the wire
 
   UploadMessage tagged = m;
   tagged.upload_id = id;

@@ -3,11 +3,14 @@
 #include <cmath>
 
 #include "geo/angle.hpp"
-#include "store/crc32c.hpp"
+#include "util/bytes.hpp"
 
 namespace svg::net {
 
 namespace {
+
+using util::ByteReader;
+using util::ByteWriter;
 
 constexpr double kDegScale = 1e7;    // 1e-7 degree fixed point
 constexpr double kThetaScale = 100.0;  // 0.01 degree fixed point
@@ -19,7 +22,7 @@ double dequantize_deg(std::int64_t q) {
   return static_cast<double>(q) / kDegScale;
 }
 
-/// Delta-encoded segment records — the common body of v1/v2 uploads.
+/// Delta-encoded segment records — the body of an upload.
 void put_segment_records(ByteWriter& w,
                          std::span<const core::RepresentativeFov> segments) {
   std::int64_t prev_lat = 0, prev_lng = 0;
@@ -68,110 +71,46 @@ bool get_segment_records(ByteReader& r, std::uint64_t count,
   return true;
 }
 
-/// Appends crc32c of everything written so far — the v2/ack trailer.
-void put_crc_trailer(ByteWriter& w) {
-  w.put_u32(store::crc32c(std::span(w.bytes())));
-}
-
-/// True iff `bytes` ends with a valid crc32c of everything before it.
-bool check_crc_trailer(std::span<const std::uint8_t> bytes) {
-  if (bytes.size() < 4) return false;
-  const auto body = bytes.first(bytes.size() - 4);
-  ByteReader tail(bytes.subspan(bytes.size() - 4));
-  const auto crc = tail.get_u32();
-  return crc && *crc == store::crc32c(body);
-}
-
 }  // namespace
 
 // --- upload -----------------------------------------------------------------
 
 std::vector<std::uint8_t> encode_upload(const UploadMessage& m) {
   ByteWriter w;
-  if (m.upload_id == 0) {
-    // Legacy v1 — byte-identical to the pre-upload_id format.
-    w.put_u8(kMsgUpload);
-    w.put_varint(m.video_id);
-    w.put_varint(m.segments.size());
-    put_segment_records(w, m.segments);
-    return w.take();
-  }
-  w.put_u8(kMsgUploadV2);
+  w.put_u8(kMsgUpload);
   w.put_varint(m.upload_id);
   w.put_varint(m.video_id);
   w.put_varint(m.segments.size());
   put_segment_records(w, m.segments);
-  if (m.trace_id != 0) {
-    // Optional trailing trace context, covered by the crc. Untraced
-    // messages skip it so their bytes match pre-trace encoders.
-    w.put_varint(m.trace_id);
-    w.put_varint(m.parent_span_id);
-  }
-  if (m.has_route_epoch) {
-    // Optional fence stamp, stored as epoch + 1 (epoch 0 is a valid
-    // table, the trailing-field rule wants non-zero). Unstamped messages
-    // skip it so their bytes match pre-fencing encoders.
-    w.put_varint(m.route_epoch + 1);
-  }
-  put_crc_trailer(w);
-  return w.take();
+  if (m.trace_id != 0) w.put_ext(kTagTraceId, m.trace_id);
+  if (m.parent_span_id != 0) w.put_ext(kTagParentSpan, m.parent_span_id);
+  if (m.route_epoch) w.put_ext(kTagEpoch, *m.route_epoch);
+  return util::seal(w);
 }
 
 std::optional<UploadMessage> decode_upload(
     std::span<const std::uint8_t> bytes) {
-  if (bytes.empty()) return std::nullopt;
-  const std::uint8_t tag = bytes.front();
-  UploadMessage m;
-  if (tag == kMsgUploadV2) {
-    // The checksum gates everything: corrupted v2 bytes must not decode
-    // into a plausible-but-wrong message (the chaos tests rely on this).
-    if (!check_crc_trailer(bytes)) return std::nullopt;
-    ByteReader r(bytes.first(bytes.size() - 4));
-    (void)r.get_u8();
-    const auto uid = r.get_varint();
-    const auto vid = r.get_varint();
-    const auto count = r.get_varint();
-    if (!uid || *uid == 0 || !vid || !count) return std::nullopt;
-    m.upload_id = *uid;
-    m.video_id = *vid;
-    if (!get_segment_records(r, *count, *vid, m.segments)) return std::nullopt;
-    if (r.remaining() > 0) {
-      // Trailing optional fields — varints are self-delimiting, so the
-      // count picks the shape: 1 = fence stamp, 2 = trace context,
-      // 3 = trace context then fence stamp. Anything else is malformed.
-      std::uint64_t tail[3] = {0, 0, 0};
-      std::size_t n = 0;
-      while (r.remaining() > 0) {
-        if (n == 3) return std::nullopt;
-        const auto v = r.get_varint();
-        if (!v) return std::nullopt;
-        tail[n++] = *v;
-      }
-      if (n == 1) {
-        if (tail[0] == 0) return std::nullopt;
-        m.route_epoch = tail[0] - 1;
-        m.has_route_epoch = true;
-      } else {
-        if (tail[0] == 0) return std::nullopt;  // trace_id must be non-zero
-        m.trace_id = tail[0];
-        m.parent_span_id = tail[1];
-        if (n == 3) {
-          if (tail[2] == 0) return std::nullopt;
-          m.route_epoch = tail[2] - 1;
-          m.has_route_epoch = true;
-        }
-      }
-    }
-    return m;
-  }
-  if (tag != kMsgUpload) return std::nullopt;
-  ByteReader r(bytes);
-  (void)r.get_u8();
+  // The checksum gates everything: corrupted bytes must not decode into a
+  // plausible-but-wrong message (the chaos tests rely on this).
+  const auto body = util::unseal(bytes);
+  if (!body) return std::nullopt;
+  ByteReader r(*body);
+  const auto type = r.get_u8();
+  const auto uid = r.get_varint();
   const auto vid = r.get_varint();
   const auto count = r.get_varint();
-  if (!vid || !count) return std::nullopt;
+  if (type != kMsgUpload || !uid || !vid || !count) return std::nullopt;
+  UploadMessage m;
+  m.upload_id = *uid;
   m.video_id = *vid;
   if (!get_segment_records(r, *count, *vid, m.segments)) return std::nullopt;
+  const auto ext = r.get_ext(util::ext_bit(kTagTraceId) |
+                             util::ext_bit(kTagParentSpan) |
+                             util::ext_bit(kTagEpoch));
+  if (!ext) return std::nullopt;
+  m.trace_id = ext->get(kTagTraceId).value_or(0);
+  m.parent_span_id = ext->get(kTagParentSpan).value_or(0);
+  m.route_epoch = ext->get(kTagEpoch);
   return m;
 }
 
@@ -183,45 +122,32 @@ std::vector<std::uint8_t> encode_upload_ack(const UploadAck& m) {
   w.put_u8(static_cast<std::uint8_t>(m.status));
   w.put_varint(m.upload_id);
   w.put_varint(m.segments_indexed);
-  if (m.status == UploadAckStatus::kStaleEpoch) {
-    // The trailing slot carries the rejecting node's epoch (+ 1 for the
-    // non-zero rule) so the sender can tell how far behind it is.
-    w.put_varint(m.node_epoch + 1);
-  } else if (m.retry_after_ms != 0) {
-    // Optional trailing retry-after hint, covered by the crc. Hint-less
-    // acks skip it so their bytes match pre-hint encoders.
-    w.put_varint(m.retry_after_ms);
-  }
-  put_crc_trailer(w);
-  return w.take();
+  if (m.node_epoch) w.put_ext(kTagEpoch, *m.node_epoch);
+  if (m.retry_after_ms != 0) w.put_ext(kTagRetryAfterMs, m.retry_after_ms);
+  return util::seal(w);
 }
 
 std::optional<UploadAck> decode_upload_ack(
     std::span<const std::uint8_t> bytes) {
-  if (bytes.empty() || bytes.front() != kMsgUploadAck) return std::nullopt;
-  if (!check_crc_trailer(bytes)) return std::nullopt;
-  ByteReader r(bytes.first(bytes.size() - 4));
-  (void)r.get_u8();
+  const auto body = util::unseal(bytes);
+  if (!body) return std::nullopt;
+  ByteReader r(*body);
+  const auto type = r.get_u8();
   const auto status = r.get_u8();
   const auto uid = r.get_varint();
   const auto segs = r.get_varint();
-  if (!status || *status > 4 || !uid || !segs) return std::nullopt;
+  if (type != kMsgUploadAck || !status || *status > 4 || !uid || !segs) {
+    return std::nullopt;
+  }
+  const auto ext = r.get_ext(util::ext_bit(kTagEpoch) |
+                             util::ext_bit(kTagRetryAfterMs));
+  if (!ext) return std::nullopt;
   UploadAck m;
   m.status = static_cast<UploadAckStatus>(*status);
   m.upload_id = *uid;
   m.segments_indexed = *segs;
-  if (r.remaining() > 0) {
-    // Trailing hint: exactly one non-zero varint, nothing after. The
-    // status byte selects the meaning — node epoch for kStaleEpoch,
-    // retry-after for everything else.
-    const auto hint = r.get_varint();
-    if (!hint || *hint == 0 || r.remaining() != 0) return std::nullopt;
-    if (m.status == UploadAckStatus::kStaleEpoch) {
-      m.node_epoch = *hint - 1;
-    } else {
-      m.retry_after_ms = *hint;
-    }
-  }
+  m.node_epoch = ext->get(kTagEpoch);
+  m.retry_after_ms = ext->get(kTagRetryAfterMs).value_or(0);
   return m;
 }
 
@@ -236,20 +162,24 @@ std::vector<std::uint8_t> encode_query(const QueryMessage& m) {
   w.put_svarint(quantize_deg(m.center.lng));
   w.put_varint(static_cast<std::uint64_t>(std::llround(m.radius_m)));
   w.put_varint(m.top_n);
-  return w.take();
+  return util::seal(w);
 }
 
 std::optional<QueryMessage> decode_query(std::span<const std::uint8_t> bytes) {
-  ByteReader r(bytes);
-  const auto tag = r.get_u8();
-  if (!tag || *tag != kMsgQuery) return std::nullopt;
+  const auto body = util::unseal(bytes);
+  if (!body) return std::nullopt;
+  ByteReader r(*body);
+  const auto type = r.get_u8();
   const auto ts = r.get_svarint();
   const auto dur = r.get_varint();
   const auto lat = r.get_svarint();
   const auto lng = r.get_svarint();
   const auto radius = r.get_varint();
   const auto top_n = r.get_varint();
-  if (!ts || !dur || !lat || !lng || !radius || !top_n) return std::nullopt;
+  if (type != kMsgQuery || !ts || !dur || !lat || !lng || !radius || !top_n ||
+      !r.exhausted()) {
+    return std::nullopt;
+  }
   QueryMessage m;
   m.t_start = *ts;
   m.t_end = *ts + static_cast<std::int64_t>(*dur);
@@ -274,16 +204,17 @@ std::vector<std::uint8_t> encode_results(const ResultsMessage& m) {
     w.put_varint(static_cast<std::uint64_t>(
         std::llround(static_cast<double>(e.distance_m) * 10.0)));
   }
-  return w.take();
+  return util::seal(w);
 }
 
 std::optional<ResultsMessage> decode_results(
     std::span<const std::uint8_t> bytes) {
-  ByteReader r(bytes);
-  const auto tag = r.get_u8();
-  if (!tag || *tag != kMsgResults) return std::nullopt;
+  const auto body = util::unseal(bytes);
+  if (!body) return std::nullopt;
+  ByteReader r(*body);
+  const auto type = r.get_u8();
   const auto count = r.get_varint();
-  if (!count) return std::nullopt;
+  if (type != kMsgResults || !count) return std::nullopt;
   ResultsMessage m;
   for (std::uint64_t i = 0; i < *count; ++i) {
     const auto vid = r.get_varint();
@@ -300,6 +231,7 @@ std::optional<ResultsMessage> decode_results(
     e.distance_m = static_cast<float>(static_cast<double>(*dist) / 10.0);
     m.entries.push_back(e);
   }
+  if (!r.exhausted()) return std::nullopt;
   return m;
 }
 

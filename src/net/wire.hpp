@@ -6,7 +6,12 @@
 //
 // Encoding building blocks: LEB128 varints, zigzag for signed deltas,
 // fixed-point lat/lng at 1e-7° (≈1.1 cm — finer than any GPS) and θ at
-// 0.01°.
+// 0.01°. Every message, here and in cluster/wire.hpp, is one util frame
+// (util/bytes.hpp): type byte | fixed fields | extension block | crc32c.
+// The CRC turns a corrupted-but-parseable message (a flipped varint byte
+// otherwise silently changes a position) into a clean decode failure.
+// Optional fields ride the extension block under the ExtTag numbers
+// below; an absent field costs no bytes.
 
 #include <cstdint>
 #include <optional>
@@ -15,55 +20,47 @@
 #include <vector>
 
 #include "core/fov.hpp"
-#include "util/bytes.hpp"
 
 namespace svg::net {
 
-// The codec primitives moved to util/bytes.hpp so the durability subsystem
-// (src/store/) can share the delta encoding; these aliases keep every
-// existing net:: call site working.
-using util::ByteReader;
-using util::ByteWriter;
-
 // --- protocol messages ------------------------------------------------------
 
-inline constexpr std::uint8_t kMsgUpload = 1;
+// Type 1 is unused.
 inline constexpr std::uint8_t kMsgQuery = 2;
 inline constexpr std::uint8_t kMsgResults = 3;
 // 4 and 5 are the clip request/response (clip_fetch.hpp).
-inline constexpr std::uint8_t kMsgUploadV2 = 6;
+inline constexpr std::uint8_t kMsgUpload = 6;
 inline constexpr std::uint8_t kMsgUploadAck = 7;
+
+/// Extension-block tags: one number space for every message in net/ and
+/// cluster/. Each message's decoder accepts only the tags its struct
+/// documents.
+enum ExtTag : std::uint64_t {
+  kTagTraceId = 1,       ///< the sender's trace (obs/trace.hpp)
+  kTagParentSpan = 2,    ///< the sender's span the receiver nests under
+  kTagEpoch = 3,         ///< a routing-table epoch (docs/CLUSTER.md)
+  kTagRetryAfterMs = 4,  ///< server-computed retry-after hint
+};
 
 /// A client's end-of-recording upload: every representative FoV of one
 /// video. Positions/timestamps are delta-encoded across segments.
 ///
-/// upload_id == 0 encodes as the legacy kMsgUpload format (no id, no
-/// checksum) so pre-retry peers keep interoperating; any other id encodes
-/// as kMsgUploadV2 — the id travels first so the server can dedup
-/// retransmits, and a crc32c trailer rejects corrupted-but-parseable
-/// bytes (a flipped varint byte otherwise silently changes a position).
+/// Layout: upload_id | video_id | segment count | segment records, then
+/// the extension block. upload_id travels first so the server can dedup
+/// retransmits; 0 means "no dedup id" (in-process and id-less phone
+/// uploads).
 ///
-/// Trace propagation (obs/trace.hpp): a non-zero trace_id adds a trailing
-/// optional field to v2 — two varints (trace_id, parent_span_id) after
-/// the segment records, inside the crc — so the server's ingest spans
-/// join the client's trace. trace_id == 0 omits the field entirely,
-/// keeping untraced v2 messages byte-identical to pre-trace builds; v1
-/// never carries it.
-///
-/// Epoch fencing (docs/CLUSTER.md): a router stamps the RoutingTable
-/// epoch it routed by into v2 as one more trailing varint — stored as
-/// epoch + 1 so the non-zero rule holds (epoch 0 is a valid table). The
-/// trailing region therefore parses as 0, 1, 2 or 3 varints: nothing;
-/// just the fence stamp; the trace pair; or trace pair then stamp.
-/// Varints are self-delimiting, so the count disambiguates. Unstamped
-/// messages stay byte-identical to pre-fencing builds.
+/// Extensions: kTagTraceId and kTagParentSpan carry the trace context
+/// (obs/trace.hpp), each present when non-zero, so the server's ingest
+/// spans join the client's trace. kTagEpoch carries the routing-table
+/// epoch a router routed by, for the node's fence (docs/CLUSTER.md).
 struct UploadMessage {
-  std::uint64_t upload_id = 0;  ///< 0 = legacy message without an id
+  std::uint64_t upload_id = 0;  ///< 0 = no dedup id
   std::uint64_t video_id = 0;
   std::uint64_t trace_id = 0;         ///< 0 = request not traced
   std::uint64_t parent_span_id = 0;   ///< client span the server nests under
-  std::uint64_t route_epoch = 0;      ///< table epoch the sender routed by
-  bool has_route_epoch = false;       ///< false = unstamped (legacy sender)
+  /// Table epoch the sender routed by; nullopt = not routed by a table.
+  std::optional<std::uint64_t> route_epoch;
   std::vector<core::RepresentativeFov> segments;
 };
 
@@ -78,25 +75,18 @@ enum class UploadAckStatus : std::uint8_t {
                     ///< node lost its heartbeats) — refresh the table, retry
 };
 
-/// A kRetryLater ack may carry a server-computed retry-after hint
-/// (admission control knows exactly when the queue will have room; the
-/// client's blind exponential backoff does not). On the wire it is one
-/// optional trailing varint after segments_indexed, inside the crc — the
-/// same legacy-compatible trailing-field trick as the upload trace
-/// context. A hint of 0 omits the field, keeping hint-less acks
-/// byte-identical to pre-hint encoders; decoders accept either shape
-/// (no trailing bytes, or exactly one non-zero varint).
-///
-/// A kStaleEpoch ack reuses the same trailing slot for the rejecting
-/// node's current epoch, stored as epoch + 1 (non-zero rule; epoch 0 is
-/// valid). The status byte selects the interpretation, so the two hints
-/// never collide.
+/// Extensions: kTagRetryAfterMs, a server-computed retry-after hint on a
+/// kRetryLater ack (admission control knows exactly when the queue will
+/// have room; the client's blind exponential backoff does not), present
+/// when non-zero; and kTagEpoch, the rejecting node's epoch on a
+/// kStaleEpoch ack, so the sender can tell how far behind it is.
 struct UploadAck {
   std::uint64_t upload_id = 0;
   UploadAckStatus status = UploadAckStatus::kRejected;
   std::uint64_t segments_indexed = 0;
   std::uint64_t retry_after_ms = 0;  ///< 0 = no hint (kRetryLater only)
-  std::uint64_t node_epoch = 0;      ///< rejecting node's epoch (kStaleEpoch)
+  /// The fencing node's epoch (kStaleEpoch); nullopt = not sent.
+  std::optional<std::uint64_t> node_epoch;
 };
 
 struct QueryMessage {

@@ -28,7 +28,7 @@ struct ServerMetrics {
   Counter& segments_indexed;
   Counter& queries;
   Gauge& health;  ///< svg_server_health: 0 = ok, 1 = degraded read-only
-  Histogram& upload_ns;  ///< handle_upload wall time (decode + ingest)
+  Histogram& upload_ns;  ///< one upload: decode + admission + ingest
   Histogram& ingest_ns;  ///< index-insertion portion of an upload
   Histogram& query_ns;   ///< handle_query / search wall time
 };

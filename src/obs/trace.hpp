@@ -44,9 +44,9 @@ struct ThreadTrace;  // per-thread active-trace collection state (trace.cpp)
 }
 
 /// The propagated identity of an in-flight request: which trace it belongs
-/// to and which span is the caller. Carried on wire v2 uploads as a
-/// trailing optional field (net/wire.hpp) so the server's spans attach to
-/// the client's tree even across a real network hop.
+/// to and which span is the caller. Carried in an upload's trace tags
+/// (net/wire.hpp) so the server's spans attach to the client's tree even
+/// across a real network hop.
 struct TraceContext {
   std::uint64_t trace_id = 0;
   std::uint64_t parent_span_id = 0;

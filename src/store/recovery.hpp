@@ -50,8 +50,8 @@ using RecoveryApply =
     std::function<void(std::span<const core::RepresentativeFov>)>;
 
 /// Restored upload_ids (the server's ingest-dedup set): the snapshot's
-/// whole set in one call, then each v2 WAL record's id as it replays.
-/// Never invoked with id 0 (v1 records carry no id).
+/// whole set in one call, then each WAL record's id as it replays.
+/// Never invoked with id 0 (an id-less record has no dedup id).
 using RecoveryApplyIds = std::function<void(std::span<const std::uint64_t>)>;
 
 /// Checkpoint snapshot path for a given covered sequence number.

@@ -1,6 +1,5 @@
 #include "store/scrub.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
@@ -9,59 +8,17 @@
 #include "obs/families.hpp"
 #include "obs/journal.hpp"
 #include "obs/timer.hpp"
-#include "store/crc32c.hpp"
 #include "store/snapshot.hpp"
+#include "store/wal.hpp"
 
 namespace svg::store {
 
 namespace {
 
-// The WAL's on-disk frame geometry (wal.cpp keeps its own copies; the
-// format is frozen at version 1, so the duplication is a constant, not a
-// coupling).
-constexpr std::uint8_t kSegMagic[4] = {'S', 'V', 'G', 'W'};
-constexpr std::uint16_t kSegVersion = 1;
-constexpr std::uint64_t kSegHeaderBytes = 16;
-constexpr std::uint64_t kFrameHeaderBytes = 8;
-constexpr std::uint64_t kMaxRecordBytes = 64ull << 20;
-
-std::uint32_t read_u32le(const std::uint8_t* p) {
-  return static_cast<std::uint32_t>(p[0]) |
-         static_cast<std::uint32_t>(p[1]) << 8 |
-         static_cast<std::uint32_t>(p[2]) << 16 |
-         static_cast<std::uint32_t>(p[3]) << 24;
-}
-
-std::uint64_t read_u64le(const std::uint8_t* p) {
-  return static_cast<std::uint64_t>(read_u32le(p)) |
-         static_cast<std::uint64_t>(read_u32le(p + 4)) << 32;
-}
-
 struct Artifact {
   std::string path;
   std::uint64_t seq = 0;  ///< from the filename
 };
-
-/// wal-<16 hex>.log files, oldest-first — the same predicate the WAL's
-/// own listing applies, so a *.quarantine rename drops the file from both.
-std::vector<Artifact> list_wal_segments(const std::string& dir) {
-  std::vector<Artifact> out;
-  std::error_code ec;
-  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
-    const std::string name = entry.path().filename().string();
-    if (name.rfind("wal-", 0) != 0 || name.size() != 24 ||
-        name.substr(20) != ".log") {
-      continue;
-    }
-    char* end = nullptr;
-    const std::uint64_t seq = std::strtoull(name.c_str() + 4, &end, 16);
-    if (end != name.c_str() + 20) continue;
-    out.push_back({entry.path().string(), seq});
-  }
-  std::sort(out.begin(), out.end(),
-            [](const auto& a, const auto& b) { return a.seq < b.seq; });
-  return out;
-}
 
 /// snapshot-<16 hex>.svgx files, any order.
 std::vector<Artifact> list_snapshots(const std::string& dir) {
@@ -101,7 +58,7 @@ ScrubReport scrub_directory(const std::string& dir,
   const std::uint64_t t0 = obs::now_ns();
   ScrubReport report;
 
-  const auto segments = list_wal_segments(dir);
+  const auto segments = wal_segment_files(dir);
   for (std::size_t i = 0; i < segments.size(); ++i) {
     const bool last = i + 1 == segments.size();
     ++report.wal_segments;
@@ -111,7 +68,7 @@ ScrubReport scrub_directory(const std::string& dir,
       // Unreadable at rest — report it, but never quarantine on an I/O
       // error (the file may be fine; only proven corruption moves it).
       report.findings.push_back({ScrubFinding::Kind::kWalSegment,
-                                 segments[i].path, segments[i].seq,
+                                 segments[i].path, segments[i].first_seq,
                                  "unreadable", false});
       continue;
     }
@@ -120,10 +77,7 @@ ScrubReport scrub_directory(const std::string& dir,
 
     std::string problem;
     bool torn = false;  // legal crash artifact, not corruption
-    if (bytes->size() < kSegHeaderBytes ||
-        !std::equal(kSegMagic, kSegMagic + 4, bytes->begin()) ||
-        (read_u32le(bytes->data() + 4) & 0xFFFF) != kSegVersion ||
-        read_u64le(bytes->data() + 8) != segments[i].seq) {
+    if (!wal_segment_header_ok(*bytes, segments[i].first_seq)) {
       // A torn header is only legal on the final segment (a rotation
       // that crashed mid-create); recovery drops the file wholesale.
       if (last) {
@@ -132,36 +86,19 @@ ScrubReport scrub_directory(const std::string& dir,
         problem = "bad segment header";
       }
     } else {
-      std::uint64_t off = kSegHeaderBytes;
-      while (off < bytes->size()) {
-        const std::uint64_t rem = bytes->size() - off;
-        std::uint32_t len = 0;
-        bool complete = false;  // the frame's claimed bytes are all present
-        if (rem >= kFrameHeaderBytes) {
-          len = read_u32le(bytes->data() + off);
-          complete = len != 0 && len <= kMaxRecordBytes &&
-                     len <= rem - kFrameHeaderBytes;
-        }
-        if (!complete) {
-          // Truncated or implausible frame: a torn tail on the final
-          // segment, corruption anywhere else.
-          if (last) {
-            torn = true;
-          } else {
-            problem = "truncated frame at offset " + std::to_string(off);
-          }
-          break;
-        }
-        const std::uint32_t crc = read_u32le(bytes->data() + off + 4);
-        if (crc32c({bytes->data() + off + kFrameHeaderBytes, len}) != crc) {
-          // A COMPLETE frame with a bad CRC is bit rot even on the final
-          // segment — a torn write cannot damage bytes it never covered.
-          problem = "frame CRC mismatch at offset " + std::to_string(off);
-          break;
-        }
-        ++report.frames_verified;
-        m.frames_verified.inc();
-        off += kFrameHeaderBytes + len;
+      const WalFrameWalk walk = walk_wal_frames(*bytes, nullptr);
+      report.frames_verified += walk.frames;
+      m.frames_verified.inc(walk.frames);
+      // A COMPLETE frame with a bad CRC is bit rot even on the final
+      // segment — a torn write cannot damage bytes it never covered. A
+      // truncated or implausible frame is a torn tail on the final
+      // segment, corruption anywhere else.
+      if (walk.stop == WalStop::kBadCrc ||
+          (walk.stop != WalStop::kClean && !last)) {
+        problem = std::string(wal_stop_name(walk.stop)) + " at offset " +
+                  std::to_string(walk.offset);
+      } else if (walk.stop != WalStop::kClean) {
+        torn = true;
       }
     }
 
@@ -173,12 +110,12 @@ ScrubReport scrub_directory(const std::string& dir,
 
     m.corrupt_artifacts.inc();
     ScrubFinding f{ScrubFinding::Kind::kWalSegment, segments[i].path,
-                   segments[i].seq, problem, false};
+                   segments[i].first_seq, problem, false};
     // The final segment is the live appender's file: report only.
     if (opts.quarantine && !last) quarantine(env, f);
     if (f.quarantined) {
       obs::journal_event(obs::JournalEvent::kArtifactQuarantined, 0,
-                         segments[i].seq, bytes->size());
+                         segments[i].first_seq, bytes->size());
     }
     report.findings.push_back(std::move(f));
   }

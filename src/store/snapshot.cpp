@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "geo/angle.hpp"
-#include "store/crc32c.hpp"
 
 namespace svg::store {
 
@@ -97,66 +96,42 @@ std::vector<std::uint8_t> encode_snapshot(
     w.put_varint(id - prev);
     prev = id;
   }
-  auto bytes = w.take();
-  const std::uint32_t crc = crc32c(bytes);
-  bytes.push_back(static_cast<std::uint8_t>(crc));
-  bytes.push_back(static_cast<std::uint8_t>(crc >> 8));
-  bytes.push_back(static_cast<std::uint8_t>(crc >> 16));
-  bytes.push_back(static_cast<std::uint8_t>(crc >> 24));
-  return bytes;
+  return util::seal(w);
 }
 
 std::optional<SnapshotData> decode_snapshot_full(
     std::span<const std::uint8_t> bytes) {
-  util::ByteReader r(bytes);
+  // Validate the CRC trailer before trusting a single varint: a torn or
+  // bit-flipped snapshot must fail here, not decode garbage downstream.
+  const auto body = util::unseal(bytes);
+  if (!body) return std::nullopt;
+  util::ByteReader r(*body);
   for (std::uint8_t m : kMagic) {
-    const auto b = r.get_u8();
-    if (!b || *b != m) return std::nullopt;
+    if (r.get_u8() != m) return std::nullopt;
   }
   const auto version = r.get_u16();
-  if (!version || *version < 1 || *version > 3) return std::nullopt;
+  const auto seq = r.get_u64();
+  const auto count = r.get_varint();
+  if (version != kSnapshotVersion || !seq || !count) return std::nullopt;
 
   SnapshotData out;
-  out.version = *version;
-  std::span<const std::uint8_t> body = bytes;
-  if (*version >= 2) {
-    // Validate the CRC trailer before trusting a single varint: a torn or
-    // bit-flipped snapshot must fail here, not decode garbage downstream.
-    if (bytes.size() < 4) return std::nullopt;
-    body = bytes.first(bytes.size() - 4);
-    const std::uint32_t stored =
-        static_cast<std::uint32_t>(bytes[bytes.size() - 4]) |
-        static_cast<std::uint32_t>(bytes[bytes.size() - 3]) << 8 |
-        static_cast<std::uint32_t>(bytes[bytes.size() - 2]) << 16 |
-        static_cast<std::uint32_t>(bytes[bytes.size() - 1]) << 24;
-    if (crc32c(body) != stored) return std::nullopt;
-    r = util::ByteReader(body);
-    (void)r.get_u32();  // skip magic (validated above)
-    (void)r.get_u16();  // skip version
-    const auto seq = r.get_u64();
-    if (!seq) return std::nullopt;
-    out.last_seq = *seq;
-  }
-  const auto count = r.get_varint();
-  if (!count) return std::nullopt;
+  out.last_seq = *seq;
   // Never trust the claimed count for allocation: each record takes at
   // least 8 bytes on the wire, so anything beyond remaining is corrupt.
   if (*count > r.remaining()) return std::nullopt;
   out.reps.reserve(*count);
   if (!get_rep_records(r, *count, out.reps)) return std::nullopt;
-  if (*version >= 3) {
-    const auto id_count = r.get_varint();
-    if (!id_count) return std::nullopt;
-    if (*id_count > r.remaining()) return std::nullopt;
-    out.upload_ids.reserve(*id_count);
-    std::uint64_t prev = 0;
-    for (std::uint64_t i = 0; i < *id_count; ++i) {
-      const auto delta = r.get_varint();
-      if (!delta) return std::nullopt;
-      prev += *delta;
-      out.upload_ids.push_back(prev);
-    }
+  const auto id_count = r.get_varint();
+  if (!id_count || *id_count > r.remaining()) return std::nullopt;
+  out.upload_ids.reserve(*id_count);
+  std::uint64_t prev = 0;
+  for (std::uint64_t i = 0; i < *id_count; ++i) {
+    const auto delta = r.get_varint();
+    if (!delta) return std::nullopt;
+    prev += *delta;
+    out.upload_ids.push_back(prev);
   }
+  if (!r.exhausted()) return std::nullopt;
   return out;
 }
 

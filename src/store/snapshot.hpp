@@ -2,10 +2,9 @@
 // Index durability: snapshot every live representative FoV to a compact
 // binary file and rebuild (via STR bulk load) on restart. The file reuses
 // the wire codec's delta encoding, so a 100k-segment index snapshots to
-// ~2 MB. Lived in src/net/ until the durability subsystem (WAL +
-// checkpointing) grew around it; net/snapshot.hpp forwards here.
+// ~2 MB.
 //
-// v3 file format (current):
+// File format, one util frame (util/bytes.hpp) with no extension block:
 //   magic "SVGX" | u16 version=3 | u64 last_seq | varint rep_count
 //   | delta-encoded records | varint id_count | delta-encoded sorted
 //   upload_ids | u32 crc32c(all preceding bytes)
@@ -14,9 +13,7 @@
 // ingest-dedup set, so a retransmit arriving after crash recovery is
 // still recognized (docs/ROBUSTNESS.md). The CRC trailer turns truncation
 // or bit rot into a clean decode failure instead of garbage records.
-//
-// v1 (magic | u16 version=1 | varint count | records, no CRC) and v2 (v3
-// without the upload_id set) stay readable; writers always emit v3.
+// Only version 3 decodes.
 
 #include <cstdint>
 #include <optional>
@@ -35,9 +32,8 @@ inline constexpr std::uint16_t kSnapshotVersion = 3;
 /// A decoded snapshot plus its metadata.
 struct SnapshotData {
   std::vector<core::RepresentativeFov> reps;
-  std::vector<std::uint64_t> upload_ids;  ///< dedup set, sorted (v3+)
+  std::vector<std::uint64_t> upload_ids;  ///< dedup set, sorted
   std::uint64_t last_seq = 0;  ///< WAL sequence this snapshot covers
-  std::uint16_t version = kSnapshotVersion;
 };
 
 /// Delta-encode a run of representative FoVs (lat/lng fixed-point at
@@ -51,8 +47,8 @@ void put_rep_records(util::ByteWriter& w,
 [[nodiscard]] bool get_rep_records(util::ByteReader& r, std::uint64_t count,
                                    std::vector<core::RepresentativeFov>& out);
 
-/// Serialize to an in-memory buffer (always v3). `upload_ids` is sorted
-/// before encoding (the format stores ascending deltas).
+/// Serialize to an in-memory buffer. `upload_ids` is sorted before
+/// encoding (the format stores ascending deltas).
 [[nodiscard]] std::vector<std::uint8_t> encode_snapshot(
     const std::vector<core::RepresentativeFov>& reps,
     std::uint64_t last_seq = 0, std::vector<std::uint64_t> upload_ids = {});
@@ -61,7 +57,7 @@ void put_rep_records(util::ByteWriter& w,
 [[nodiscard]] std::optional<std::vector<core::RepresentativeFov>>
 decode_snapshot(std::span<const std::uint8_t> bytes);
 
-/// Like decode_snapshot but also surfaces last_seq and the format version.
+/// Like decode_snapshot but also surfaces last_seq and the dedup set.
 [[nodiscard]] std::optional<SnapshotData> decode_snapshot_full(
     std::span<const std::uint8_t> bytes);
 

@@ -10,10 +10,10 @@
 #include "obs/journal.hpp"
 #include "obs/timer.hpp"
 #include "obs/trace.hpp"
-#include "store/crc32c.hpp"
 #include "store/env.hpp"
 #include "store/snapshot.hpp"
 #include "util/bytes.hpp"
+#include "util/crc32c.hpp"
 
 namespace svg::store {
 
@@ -49,34 +49,8 @@ void put_u32le(std::vector<std::uint8_t>& out, std::uint32_t v) {
 void append_frame(std::vector<std::uint8_t>& out,
                   std::span<const std::uint8_t> payload) {
   put_u32le(out, static_cast<std::uint32_t>(payload.size()));
-  put_u32le(out, crc32c(payload));
+  put_u32le(out, util::crc32c(payload));
   out.insert(out.end(), payload.begin(), payload.end());
-}
-
-struct ScanSegment {
-  std::string path;
-  std::uint64_t name_seq = 0;  // parsed from the filename
-};
-
-/// Every wal-*.log in dir, sorted by the sequence in the filename.
-std::vector<ScanSegment> list_segment_files(const std::string& dir) {
-  std::vector<ScanSegment> out;
-  std::error_code ec;
-  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
-    const std::string name = entry.path().filename().string();
-    if (name.rfind("wal-", 0) != 0 || name.size() != 24 ||
-        name.substr(20) != ".log") {
-      continue;
-    }
-    char* end = nullptr;
-    const std::uint64_t seq = std::strtoull(name.c_str() + 4, &end, 16);
-    if (end != name.c_str() + 20) continue;
-    out.push_back({entry.path().string(), seq});
-  }
-  std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
-    return a.name_seq < b.name_seq;
-  });
-  return out;
 }
 
 struct ScanResult {
@@ -97,7 +71,7 @@ ScanResult scan_wal(const std::string& dir, std::uint64_t replay_after,
                     Env& env) {
   ScanResult res;
   res.stats.next_seq = replay_after + 1;
-  const auto files = list_segment_files(dir);
+  const auto files = wal_segment_files(dir);
 
   std::uint64_t expected = 0;  // 0 = chain start not yet pinned
   for (std::size_t i = 0; i < files.size(); ++i) {
@@ -107,31 +81,22 @@ ScanResult scan_wal(const std::string& dir, std::uint64_t replay_after,
       res.error = "cannot read " + files[i].path;
       return res;
     }
+    const std::uint64_t first_seq = files[i].first_seq;
 
     // Header validation. An unreadable header on the FINAL segment is a
     // torn rotation (the file was created but the header write was lost):
     // drop the whole file. Anywhere else it is corruption.
-    std::string header_problem;
-    if (bytes->size() < kSegHeaderBytes) {
-      header_problem = "short header";
-    } else if (!std::equal(kSegMagic, kSegMagic + 4, bytes->begin())) {
-      header_problem = "bad magic";
-    } else if ((read_u32le(bytes->data() + 4) & 0xFFFF) != kSegVersion) {
-      header_problem = "unsupported version";
-    } else if (read_u64le(bytes->data() + 8) != files[i].name_seq) {
-      header_problem = "header/filename seq mismatch";
-    }
-    if (!header_problem.empty()) {
+    if (!wal_segment_header_ok(*bytes, first_seq)) {
       if (!last) {
-        res.error = files[i].path + ": " + header_problem +
-                    " in non-final segment";
+        res.error =
+            files[i].path + ": bad segment header in non-final segment";
         return res;
       }
       const std::uint64_t need = expected != 0 ? expected : replay_after + 1;
-      if (files[i].name_seq > need) {
-        res.error = files[i].path + ": " + header_problem +
-                    " and sequence gap (expected " + std::to_string(need) +
-                    ")";
+      if (first_seq > need) {
+        res.error = files[i].path +
+                    ": bad segment header and sequence gap (expected " +
+                    std::to_string(need) + ")";
         return res;
       }
       res.stats.tail_torn = true;
@@ -141,7 +106,6 @@ ScanResult scan_wal(const std::string& dir, std::uint64_t replay_after,
       break;
     }
 
-    const std::uint64_t first_seq = files[i].name_seq;
     // Chain contiguity. The first segment must reach back to the replay
     // watermark (records ≤ replay_after are covered by the snapshot);
     // later segments must continue exactly where the previous ended.
@@ -174,56 +138,39 @@ ScanResult scan_wal(const std::string& dir, std::uint64_t replay_after,
     info.path = files[i].path;
     info.first_seq = first_seq;
     info.file_bytes = bytes->size();
+    const WalFrameWalk walk = walk_wal_frames(
+        *bytes, [&](std::uint64_t off, std::span<const std::uint8_t> payload) {
+          const std::uint64_t seq = first_seq + info.records;
+          ++res.stats.records_scanned;
+          ++info.records;
+          if (collect_records) {
+            res.records.push_back(
+                {seq, res.segments.size(), off,
+                 static_cast<std::uint32_t>(payload.size())});
+          }
+          if (handler && seq > replay_after) {
+            handler(seq, payload);
+            ++res.stats.records_replayed;
+          }
+        });
 
-    std::uint64_t seq = first_seq;
-    std::uint64_t off = kSegHeaderBytes;
-    while (off < bytes->size()) {
-      const std::uint64_t rem = bytes->size() - off;
-      std::string frame_problem;
-      std::uint32_t len = 0;
-      if (rem < kFrameHeaderBytes) {
-        frame_problem = "short frame header";
-      } else {
-        len = read_u32le(bytes->data() + off);
-        const std::uint32_t crc = read_u32le(bytes->data() + off + 4);
-        if (len == 0 || len > kMaxRecordBytes ||
-            len > rem - kFrameHeaderBytes) {
-          frame_problem = "frame length out of bounds";
-        } else if (crc32c({bytes->data() + off + kFrameHeaderBytes, len}) !=
-                   crc) {
-          frame_problem = "frame CRC mismatch";
-        }
+    // A bad frame in the final segment is a torn tail: the records from
+    // it on were never acked. Anywhere else it is corruption.
+    if (walk.stop != WalStop::kClean) {
+      if (!last) {
+        res.error = files[i].path + ": " + wal_stop_name(walk.stop) +
+                    " at offset " + std::to_string(walk.offset) +
+                    " in non-final segment";
+        return res;
       }
-      if (!frame_problem.empty()) {
-        if (!last) {
-          res.error = files[i].path + ": " + frame_problem +
-                      " at offset " + std::to_string(off) +
-                      " in non-final segment";
-          return res;
-        }
-        res.stats.tail_torn = true;
-        res.stats.bytes_truncated += bytes->size() - off;
-        res.truncate_path = files[i].path;
-        res.truncate_to = off;
-        break;
-      }
-
-      ++res.stats.records_scanned;
-      ++info.records;
-      if (collect_records) {
-        res.records.push_back(
-            {seq, res.segments.size(), off, len});
-      }
-      if (handler && seq > replay_after) {
-        handler(seq, {bytes->data() + off + kFrameHeaderBytes, len});
-        ++res.stats.records_replayed;
-      }
-      ++seq;
-      off += kFrameHeaderBytes + len;
+      res.stats.tail_torn = true;
+      res.stats.bytes_truncated += bytes->size() - walk.offset;
+      res.truncate_path = files[i].path;
+      res.truncate_to = walk.offset;
     }
 
-    expected = seq;
-    res.stats.next_seq = std::max(res.stats.next_seq, seq);
+    expected = first_seq + info.records;
+    res.stats.next_seq = std::max(res.stats.next_seq, expected);
     res.segments.push_back(std::move(info));
     ++res.stats.segments_scanned;
     if (res.stats.tail_torn) break;
@@ -239,6 +186,77 @@ std::string wal_segment_path(const std::string& dir,
   std::snprintf(name, sizeof(name), "wal-%016llx.log",
                 static_cast<unsigned long long>(first_seq));
   return (std::filesystem::path(dir) / name).string();
+}
+
+bool wal_segment_header_ok(std::span<const std::uint8_t> bytes,
+                           std::uint64_t first_seq) {
+  return bytes.size() >= kSegHeaderBytes &&
+         std::equal(kSegMagic, kSegMagic + 4, bytes.begin()) &&
+         read_u32le(bytes.data() + 4) == kSegVersion &&
+         read_u64le(bytes.data() + 8) == first_seq;
+}
+
+const char* wal_stop_name(WalStop stop) {
+  switch (stop) {
+    case WalStop::kClean:
+      return "clean";
+    case WalStop::kShortHeader:
+      return "short frame header";
+    case WalStop::kBadLength:
+      return "frame length out of bounds";
+    case WalStop::kBadCrc:
+      return "frame CRC mismatch";
+  }
+  return "unknown";
+}
+
+WalFrameWalk walk_wal_frames(std::span<const std::uint8_t> bytes,
+                             const WalFrameVisitor& visit) {
+  WalFrameWalk walk;
+  walk.offset = kSegHeaderBytes;
+  while (walk.offset < bytes.size()) {
+    const std::uint64_t rem = bytes.size() - walk.offset;
+    if (rem < kFrameHeaderBytes) {
+      walk.stop = WalStop::kShortHeader;
+      return walk;
+    }
+    const std::uint8_t* frame = bytes.data() + walk.offset;
+    const std::uint32_t len = read_u32le(frame);
+    if (len == 0 || len > kMaxRecordBytes || len > rem - kFrameHeaderBytes) {
+      walk.stop = WalStop::kBadLength;
+      return walk;
+    }
+    const std::span<const std::uint8_t> payload(frame + kFrameHeaderBytes,
+                                                len);
+    if (util::crc32c(payload) != read_u32le(frame + 4)) {
+      walk.stop = WalStop::kBadCrc;
+      return walk;
+    }
+    if (visit) visit(walk.offset, payload);
+    ++walk.frames;
+    walk.offset += kFrameHeaderBytes + len;
+  }
+  return walk;
+}
+
+std::vector<WalSegmentFile> wal_segment_files(const std::string& dir) {
+  std::vector<WalSegmentFile> out;
+  std::error_code ec;
+  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
+    const std::string name = entry.path().filename().string();
+    if (name.rfind("wal-", 0) != 0 || name.size() != 24 ||
+        name.substr(20) != ".log") {
+      continue;
+    }
+    char* end = nullptr;
+    const std::uint64_t seq = std::strtoull(name.c_str() + 4, &end, 16);
+    if (end != name.c_str() + 20) continue;
+    out.push_back({entry.path().string(), seq});
+  }
+  std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
+    return a.first_seq < b.first_seq;
+  });
+  return out;
 }
 
 WalDump wal_dump(const std::string& dir, std::uint64_t replay_after,
@@ -693,12 +711,8 @@ std::vector<std::string> Wal::segment_files() const {
 std::vector<std::uint8_t> encode_upload_record(
     std::span<const core::RepresentativeFov> reps, std::uint64_t upload_id) {
   util::ByteWriter w;
-  if (upload_id == 0) {
-    w.put_u8(kWalRecUpload);
-  } else {
-    w.put_u8(kWalRecUploadV2);
-    w.put_varint(upload_id);
-  }
+  w.put_u8(kWalRecUpload);
+  w.put_varint(upload_id);
   w.put_varint(reps.size());
   put_rep_records(w, reps);
   return w.take();
@@ -708,19 +722,17 @@ std::optional<UploadRecord> decode_upload_record(
     std::span<const std::uint8_t> payload) {
   util::ByteReader r(payload);
   const auto type = r.get_u8();
-  if (!type || (*type != kWalRecUpload && *type != kWalRecUploadV2)) {
+  const auto id = r.get_varint();
+  const auto count = r.get_varint();
+  if (type != kWalRecUpload || !id || !count || *count > r.remaining()) {
     return std::nullopt;
   }
   UploadRecord out;
-  if (*type == kWalRecUploadV2) {
-    const auto id = r.get_varint();
-    if (!id || *id == 0) return std::nullopt;
-    out.upload_id = *id;
-  }
-  const auto count = r.get_varint();
-  if (!count || *count > r.remaining()) return std::nullopt;
+  out.upload_id = *id;
   out.reps.reserve(*count);
-  if (!get_rep_records(r, *count, out.reps)) return std::nullopt;
+  if (!get_rep_records(r, *count, out.reps) || !r.exhausted()) {
+    return std::nullopt;
+  }
   return out;
 }
 

@@ -6,8 +6,9 @@
 //   snapshot-<seq, 16 hex>.svgx    checkpoints (store/snapshot.hpp format)
 //
 // Segment format:
-//   header  "SVGW" | u16 version=1 | u16 reserved | u64 first_seq   (16 B)
+//   header  "SVGW" | u16 version=1 | u16 reserved=0 | u64 first_seq (16 B)
 //   records u32 payload_len | u32 crc32c(payload) | payload          (each)
+// wal_segment_header_ok and walk_wal_frames are its one reader.
 //
 // Sequence numbers start at 1 and are assigned per append (one upload per
 // record); a segment's records are consecutive, so record seq is derived
@@ -149,6 +150,49 @@ struct WalRecordData {
     const std::string& dir, std::uint64_t after, std::size_t max_records = 0,
     std::uint64_t replay_after = 0, Env* env = nullptr);
 
+/// True when `bytes` starts with the header of the segment holding
+/// `first_seq` onwards.
+[[nodiscard]] bool wal_segment_header_ok(std::span<const std::uint8_t> bytes,
+                                         std::uint64_t first_seq);
+
+/// Where and why walk_wal_frames stopped.
+enum class WalStop : std::uint8_t {
+  kClean,        ///< every byte belongs to a whole, CRC-clean frame
+  kShortHeader,  ///< fewer bytes left than a frame header
+  kBadLength,    ///< frame length 0, over the cap, or past the end
+  kBadCrc,       ///< a complete frame whose payload fails its CRC
+};
+
+/// Human-readable name of a stop reason (errors, scrub findings).
+[[nodiscard]] const char* wal_stop_name(WalStop stop);
+
+struct WalFrameWalk {
+  WalStop stop = WalStop::kClean;
+  std::uint64_t offset = 0;  ///< bad frame's start, or the end when clean
+  std::uint64_t frames = 0;  ///< clean frames visited before the stop
+};
+
+/// Called with each clean frame's start offset and payload, in order.
+using WalFrameVisitor =
+    std::function<void(std::uint64_t offset, std::span<const std::uint8_t>)>;
+
+/// Walk the frames of one segment file's bytes (after its header) until
+/// the first bad one. Policy stays with the caller: recovery truncates a
+/// bad tail of the final segment; scrub reports a complete frame with a
+/// bad CRC as rot even there.
+[[nodiscard]] WalFrameWalk walk_wal_frames(std::span<const std::uint8_t> bytes,
+                                           const WalFrameVisitor& visit);
+
+struct WalSegmentFile {
+  std::string path;
+  std::uint64_t first_seq = 0;  ///< parsed from the filename
+};
+
+/// Every wal-<16 hex>.log in `dir`, oldest first. Other names (a scrub's
+/// *.quarantine rename, snapshots) are not segments.
+[[nodiscard]] std::vector<WalSegmentFile> wal_segment_files(
+    const std::string& dir);
+
 struct WalOpenResult;
 
 class Wal {
@@ -251,28 +295,27 @@ struct WalOpenResult {
 
 // --- record payload codec ---------------------------------------------------
 
-inline constexpr std::uint8_t kWalRecUpload = 1;
-inline constexpr std::uint8_t kWalRecUploadV2 = 2;
+// Type 1 is unused.
+inline constexpr std::uint8_t kWalRecUpload = 2;
 
-/// A decoded upload record. upload_id == 0 for v1 records (written before
-/// retransmit dedup existed) and for id-less in-process ingest.
+/// A decoded upload record. upload_id == 0 for id-less ingest.
 struct UploadRecord {
   std::uint64_t upload_id = 0;
   std::vector<core::RepresentativeFov> reps;
 };
 
-/// Payload of an upload record. upload_id == 0 emits the v1 layout
-/// (u8 type=1 | varint count | records); a non-zero id emits v2
-/// (u8 type=2 | varint upload_id | varint count | records). Records are
-/// the snapshot codec's delta-encoded representative FoVs
-/// (store/snapshot.hpp). Both layouts replay; the id is what lets
-/// recovery rebuild the server's dedup set so a retransmit arriving
-/// after a crash is still absorbed.
+/// Payload of an upload record: u8 type=2 | varint upload_id | varint
+/// count | records. Records are the snapshot codec's delta-encoded
+/// representative FoVs (store/snapshot.hpp). The id is what lets recovery
+/// rebuild the server's dedup set so a retransmit arriving after a crash
+/// is still absorbed; id 0 (no dedup id) never joins that set. The frame
+/// CRC guards the payload, so it carries none of its own.
 [[nodiscard]] std::vector<std::uint8_t> encode_upload_record(
     std::span<const core::RepresentativeFov> reps,
     std::uint64_t upload_id = 0);
 
-/// nullopt on malformed payload (unknown type, truncated records).
+/// nullopt on malformed payload (unknown type, truncated records,
+/// trailing bytes).
 [[nodiscard]] std::optional<UploadRecord> decode_upload_record(
     std::span<const std::uint8_t> payload);
 

@@ -1,5 +1,7 @@
 #include "util/bytes.hpp"
 
+#include "util/crc32c.hpp"
+
 namespace svg::util {
 
 namespace {
@@ -80,6 +82,45 @@ std::optional<std::int64_t> ByteReader::get_svarint() {
   const auto v = get_varint();
   if (!v) return std::nullopt;
   return unzigzag(*v);
+}
+std::optional<std::span<const std::uint8_t>> ByteReader::get_bytes(
+    std::uint64_t n) {
+  if (n > remaining()) return std::nullopt;
+  const auto out = data_.subspan(pos_, static_cast<std::size_t>(n));
+  pos_ += out.size();
+  return out;
+}
+
+std::optional<ExtBlock> ByteReader::get_ext(std::uint16_t accepted) {
+  ExtBlock ext;
+  std::uint64_t prev = 0;
+  while (!exhausted()) {
+    const auto tag = get_varint();
+    const auto value = get_varint();
+    if (!tag || !value || *tag >= ExtBlock::kMaxTags ||
+        (accepted & ext_bit(*tag)) == 0 ||
+        (ext.present_ != 0 && *tag <= prev)) {
+      return std::nullopt;
+    }
+    ext.values_[*tag] = *value;
+    ext.present_ |= ext_bit(*tag);
+    prev = *tag;
+  }
+  return ext;
+}
+
+std::vector<std::uint8_t> seal(ByteWriter& w) {
+  w.put_u32(crc32c(w.bytes()));
+  return w.take();
+}
+
+std::optional<std::span<const std::uint8_t>> unseal(
+    std::span<const std::uint8_t> bytes) {
+  if (bytes.size() < 4) return std::nullopt;
+  const auto body = bytes.first(bytes.size() - 4);
+  ByteReader trailer(bytes.subspan(body.size()));
+  if (trailer.get_u32() != crc32c(body)) return std::nullopt;
+  return body;
 }
 
 }  // namespace svg::util

@@ -1,8 +1,8 @@
-#include "store/crc32c.hpp"
+#include "util/crc32c.hpp"
 
 #include <array>
 
-namespace svg::store {
+namespace svg::util {
 
 namespace {
 
@@ -64,4 +64,4 @@ std::uint32_t crc32c(std::span<const std::uint8_t> data) {
   return crc32c_extend(0, data);
 }
 
-}  // namespace svg::store
+}  // namespace svg::util

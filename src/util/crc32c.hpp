@@ -1,6 +1,7 @@
 #pragma once
 // CRC32C (Castagnoli, reflected polynomial 0x82F63B78) — the checksum
-// guarding WAL record frames and the snapshot trailer. Software
+// behind util::seal (every wire message and the snapshot file) and the
+// WAL's record frames. Software
 // slice-by-8 implementation: ~1 byte/cycle, no ISA dependence, and the
 // same polynomial hardware CRC instructions accelerate if we ever add a
 // runtime-dispatched fast path.
@@ -8,7 +9,7 @@
 #include <cstdint>
 #include <span>
 
-namespace svg::store {
+namespace svg::util {
 
 /// One-shot CRC32C of a buffer.
 [[nodiscard]] std::uint32_t crc32c(std::span<const std::uint8_t> data);
@@ -18,4 +19,4 @@ namespace svg::store {
 [[nodiscard]] std::uint32_t crc32c_extend(std::uint32_t crc,
                                           std::span<const std::uint8_t> data);
 
-}  // namespace svg::store
+}  // namespace svg::util

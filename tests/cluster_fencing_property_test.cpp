@@ -110,8 +110,7 @@ net::UploadMessage single_partition_upload(const GeoPartitioner& partitioner,
 std::optional<net::UploadAck> offer(Cluster& cluster, std::size_t node,
                                     net::UploadMessage msg,
                                     std::uint64_t epoch, bool stamped) {
-  msg.route_epoch = epoch;
-  msg.has_route_epoch = stamped;
+  msg.route_epoch = stamped ? std::optional(epoch) : std::nullopt;
   const auto bytes = net::encode_upload(msg);
   for (const auto& reply : cluster.exchange_fn()(node, bytes)) {
     if (const auto ack = net::decode_upload_ack(reply)) return ack;

@@ -134,6 +134,24 @@ TEST(DegradedServerTest, DegradedServerAcksRetryLaterOnTheWire) {
   EXPECT_EQ(ack->segments_indexed, 0u);  // a deferral indexes nothing
 }
 
+TEST(DegradedServerTest, HandleUploadReportsADeferralAsFailure) {
+  // handle_upload is the bool view of the acked path: true only for what
+  // the ack would call kAccepted or kDuplicate.
+  ScopedDir dir("bool");
+  FaultyEnv env{StoreFaultPlan{}};
+  CloudServer server({}, {}, durable_cfg(dir.path, &env));
+  const auto logged = encode_upload(upload_of(0, 500));
+  ASSERT_TRUE(server.handle_upload(logged));
+  env.set_plan(dead_disk());
+  EXPECT_FALSE(server.handle_upload(encode_upload(upload_of(1, 501))));
+  EXPECT_EQ(server.health(), ServerHealth::kDegraded);
+  EXPECT_FALSE(server.handle_upload(encode_upload(upload_of(2, 502))));
+  EXPECT_EQ(server.stats().uploads_deferred, 2u);
+  EXPECT_EQ(server.indexed_segments(), 2u);
+  // A retransmit of the logged upload is still in the index: success.
+  EXPECT_TRUE(server.handle_upload(logged));
+}
+
 TEST(DegradedServerTest, WireCodecRoundTripsRetryLater) {
   UploadAck ack;
   ack.upload_id = 42;

@@ -1,4 +1,4 @@
-#include "net/snapshot.hpp"
+#include "store/snapshot.hpp"
 
 #include <gtest/gtest.h>
 
@@ -7,16 +7,17 @@
 #include <filesystem>
 
 #include "index/fov_index.hpp"
-#include "store/crc32c.hpp"
-#include "store/env.hpp"
 #include "net/server.hpp"
 #include "sim/crowd.hpp"
+#include "store/env.hpp"
+#include "util/bytes.hpp"
 #include "util/rng.hpp"
 
 namespace {
 
-using namespace svg::net;
+using namespace svg::store;
 using svg::core::RepresentativeFov;
+using svg::net::UploadMessage;
 
 std::vector<RepresentativeFov> sample_reps(std::size_t n,
                                            std::uint64_t seed = 1) {
@@ -107,66 +108,59 @@ TEST(SnapshotCodecTest, LastSeqRoundTripsThroughV2) {
   const auto full = decode_snapshot_full(encode_snapshot(reps, 12345));
   ASSERT_TRUE(full.has_value());
   EXPECT_EQ(full->last_seq, 12345u);
-  EXPECT_EQ(full->version, kSnapshotVersion);
   EXPECT_EQ(full->reps.size(), reps.size());
 }
 
-TEST(SnapshotCodecTest, V1FilesRemainReadable) {
+TEST(SnapshotCodecTest, PreV3LayoutsAreRejected) {
   const auto reps = sample_reps(30, 9);
-  // Hand-build the v1 layout: magic | u16 version=1 | varint count |
-  // records — no last_seq, no CRC trailer.
-  svg::util::ByteWriter w;
   const std::uint8_t magic[4] = {'S', 'V', 'G', 'X'};
-  w.put_bytes(magic);
-  w.put_u16(1);
-  w.put_varint(reps.size());
-  svg::store::put_rep_records(w, reps);
-  const auto bytes = w.take();
-
-  const auto full = decode_snapshot_full(bytes);
-  ASSERT_TRUE(full.has_value());
-  EXPECT_EQ(full->version, 1u);
-  EXPECT_EQ(full->last_seq, 0u);
-  ASSERT_EQ(full->reps.size(), reps.size());
-  for (std::size_t i = 0; i < reps.size(); ++i) {
-    EXPECT_EQ(full->reps[i].video_id, reps[i].video_id);
-    EXPECT_EQ(full->reps[i].t_start, reps[i].t_start);
-  }
+  // v1: magic | u16 version=1 | varint count | records — no last_seq, no
+  // CRC trailer.
+  svg::util::ByteWriter v1;
+  v1.put_bytes(magic);
+  v1.put_u16(1);
+  v1.put_varint(reps.size());
+  put_rep_records(v1, reps);
+  EXPECT_FALSE(decode_snapshot_full(v1.bytes()).has_value());
+  // v2: v3 without the upload_id section, sealed with a valid CRC.
+  svg::util::ByteWriter v2;
+  v2.put_bytes(magic);
+  v2.put_u16(2);
+  v2.put_u64(777);
+  v2.put_varint(reps.size());
+  put_rep_records(v2, reps);
+  EXPECT_FALSE(decode_snapshot_full(svg::util::seal(v2)).has_value());
 }
 
 TEST(SnapshotCodecTest, UploadIdsRoundTripThroughV3) {
   const auto reps = sample_reps(20, 10);
   const std::vector<std::uint64_t> ids{
       0xDEADBEEFULL, 3, 0xFFFFFFFFFFFFFFFFULL, 42, 7'000'000'000ULL};
-  const auto full =
-      svg::store::decode_snapshot_full(encode_snapshot(reps, 99, ids));
+  const auto full = decode_snapshot_full(encode_snapshot(reps, 99, ids));
   ASSERT_TRUE(full.has_value());
-  EXPECT_EQ(full->version, kSnapshotVersion);
   EXPECT_EQ(full->last_seq, 99u);
   EXPECT_EQ(full->reps.size(), reps.size());
   auto want = ids;
   std::sort(want.begin(), want.end());
   EXPECT_EQ(full->upload_ids, want);  // stored sorted (delta-encoded)
-}
 
-TEST(SnapshotCodecTest, V2FilesWithoutUploadIdsRemainReadable) {
-  const auto reps = sample_reps(15, 11);
-  // Hand-build the v2 layout: magic | u16 version=2 | u64 last_seq |
-  // varint count | records | crc32c trailer — no upload_ids section.
-  svg::util::ByteWriter w;
-  const std::uint8_t magic[4] = {'S', 'V', 'G', 'X'};
-  w.put_bytes(magic);
-  w.put_u16(2);
-  w.put_u64(777);
-  w.put_varint(reps.size());
-  svg::store::put_rep_records(w, reps);
-  w.put_u32(svg::store::crc32c(w.bytes()));
-  const auto full = svg::store::decode_snapshot_full(w.take());
-  ASSERT_TRUE(full.has_value());
-  EXPECT_EQ(full->version, 2u);
-  EXPECT_EQ(full->last_seq, 777u);
-  EXPECT_EQ(full->reps.size(), reps.size());
-  EXPECT_TRUE(full->upload_ids.empty());
+  // The file layout, pinned byte for byte.
+  std::vector<RepresentativeFov> two(2);
+  for (std::uint32_t i = 0; i < 2; ++i) {
+    two[i].video_id = 100 + i;
+    two[i].segment_id = i;
+    two[i].fov.p = {39.9 + 0.001 * i, 116.4 - 0.002 * i};
+    two[i].fov.theta_deg = 10.0 * i;
+    two[i].t_start = 1'400'000'000'000 + 5'000 * i;
+    two[i].t_end = two[i].t_start + 3'000;
+  }
+  const std::vector<std::uint8_t> pinned{
+      0x53, 0x56, 0x47, 0x58, 0x03, 0x00, 0x63, 0x00, 0x00, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x02, 0x64, 0x00, 0x80, 0x87, 0xC2, 0xFC, 0x02, 0x80, 0xEC,
+      0x89, 0xD6, 0x08, 0x00, 0x00, 0x80, 0xC0, 0x85, 0xE8, 0xBE, 0x51, 0xB8,
+      0x17, 0x65, 0x01, 0xA0, 0x9C, 0x01, 0xBF, 0xB8, 0x02, 0xE8, 0x03, 0x90,
+      0x4E, 0xB8, 0x17, 0x02, 0x03, 0x27, 0x13, 0xBA, 0xFA, 0x45};
+  EXPECT_EQ(encode_snapshot(two, 99, {42, 3}), pinned);
 }
 
 TEST(SnapshotCodecTest, AbsurdUploadIdCountRejectedBeforeAllocation) {
@@ -180,32 +174,18 @@ TEST(SnapshotCodecTest, AbsurdUploadIdCountRejectedBeforeAllocation) {
   w.put_varint(0);            // no reps
   w.put_varint(1ULL << 40);   // claimed: a trillion upload ids
   w.put_varint(1);            // ...one byte of them present
-  w.put_u32(svg::store::crc32c(w.bytes()));
-  EXPECT_FALSE(svg::store::decode_snapshot_full(w.take()).has_value());
+  EXPECT_FALSE(decode_snapshot_full(svg::util::seal(w)).has_value());
 }
 
-// --- version compat matrix under injected I/O faults -------------------------
+// --- snapshot files under injected I/O faults -------------------------------
 //
-// Snapshot files of every on-disk generation (v1: no seq/CRC, v2: seq+CRC,
-// v3: seq+dedup ids+CRC) must keep loading through the pluggable Env — and
-// must fail CLEANLY (nullopt, no crash, no partial data) when the read is
-// injected to fail or the file comes back short.
+// A snapshot file must load through the pluggable Env — and must fail
+// CLEANLY (nullopt, no crash, no partial data) when the read is injected
+// to fail or the file comes back short.
 
-/// Serialize `reps` in the given historical snapshot layout.
-std::vector<std::uint8_t> snapshot_bytes_v(std::uint16_t version,
-                                           const std::vector<RepresentativeFov>& reps) {
-  if (version >= 3) {
-    return encode_snapshot(reps, 99, {5, 7, 11});
-  }
-  svg::util::ByteWriter w;
-  const std::uint8_t magic[4] = {'S', 'V', 'G', 'X'};
-  w.put_bytes(magic);
-  w.put_u16(version);
-  if (version == 2) w.put_u64(777);
-  w.put_varint(reps.size());
-  svg::store::put_rep_records(w, reps);
-  if (version == 2) w.put_u32(svg::store::crc32c(w.bytes()));
-  return w.take();
+std::vector<std::uint8_t> snapshot_bytes(
+    const std::vector<RepresentativeFov>& reps) {
+  return encode_snapshot(reps, 99, {5, 7, 11});
 }
 
 std::string write_snapshot_file(const std::string& tag,
@@ -223,18 +203,13 @@ std::string write_snapshot_file(const std::string& tag,
 TEST(SnapshotFileTest, CompatMatrixEveryVersionLoadsThroughEnv) {
   const auto reps = sample_reps(25, 12);
   svg::store::FaultyEnv env{svg::store::StoreFaultPlan{}};
-  for (std::uint16_t v = 1; v <= 3; ++v) {
-    const auto path =
-        write_snapshot_file(std::string("v").append(std::to_string(v)),
-                            snapshot_bytes_v(v, reps));
-    const auto full = svg::store::load_snapshot_file_full(path, &env);
-    ASSERT_TRUE(full.has_value()) << "version " << v;
-    EXPECT_EQ(full->version, v);
-    EXPECT_EQ(full->reps.size(), reps.size()) << "version " << v;
-    EXPECT_EQ(full->last_seq, v == 1 ? 0u : (v == 2 ? 777u : 99u));
-    EXPECT_EQ(full->upload_ids.size(), v == 3 ? 3u : 0u);
-    std::remove(path.c_str());
-  }
+  const auto path = write_snapshot_file("v3", snapshot_bytes(reps));
+  const auto full = svg::store::load_snapshot_file_full(path, &env);
+  ASSERT_TRUE(full.has_value());
+  EXPECT_EQ(full->reps.size(), reps.size());
+  EXPECT_EQ(full->last_seq, 99u);
+  EXPECT_EQ(full->upload_ids.size(), 3u);
+  std::remove(path.c_str());
   EXPECT_EQ(env.stats().injected, 0u);
 }
 
@@ -243,34 +218,25 @@ TEST(SnapshotFileTest, CompatMatrixInjectedReadFailureIsClean) {
   svg::store::StoreFaultPlan plan;
   plan.read_error = 1.0;
   svg::store::FaultyEnv env{plan};
-  for (std::uint16_t v = 1; v <= 3; ++v) {
-    const auto path = write_snapshot_file("rf_v" + std::to_string(v),
-                                          snapshot_bytes_v(v, reps));
-    EXPECT_FALSE(
-        svg::store::load_snapshot_file_full(path, &env).has_value())
-        << "version " << v;
-    // The file itself is untouched — a later healthy read still works.
-    EXPECT_TRUE(svg::store::load_snapshot_file_full(path).has_value())
-        << "version " << v;
-    std::remove(path.c_str());
-  }
-  EXPECT_GE(env.stats().injected, 3u);
+  const auto path = write_snapshot_file("rf_v3", snapshot_bytes(reps));
+  EXPECT_FALSE(svg::store::load_snapshot_file_full(path, &env).has_value());
+  // The file itself is untouched — a later healthy read still works.
+  EXPECT_TRUE(svg::store::load_snapshot_file_full(path).has_value());
+  std::remove(path.c_str());
+  EXPECT_GE(env.stats().injected, 1u);
 }
 
 TEST(SnapshotFileTest, CompatMatrixTruncatedFilesRejectedAtEveryCut) {
   const auto reps = sample_reps(12, 14);
   svg::store::FaultyEnv env{svg::store::StoreFaultPlan{}};
-  for (std::uint16_t v = 1; v <= 3; ++v) {
-    const auto bytes = snapshot_bytes_v(v, reps);
-    for (std::size_t keep = 0; keep < bytes.size(); ++keep) {
-      const auto path = write_snapshot_file(
-          "tr_v" + std::to_string(v),
-          {bytes.begin(), bytes.begin() + static_cast<std::ptrdiff_t>(keep)});
-      EXPECT_FALSE(
-          svg::store::load_snapshot_file_full(path, &env).has_value())
-          << "version " << v << " truncated to " << keep;
-      std::remove(path.c_str());
-    }
+  const auto bytes = snapshot_bytes(reps);
+  for (std::size_t keep = 0; keep < bytes.size(); ++keep) {
+    const auto path = write_snapshot_file(
+        "tr_v3",
+        {bytes.begin(), bytes.begin() + static_cast<std::ptrdiff_t>(keep)});
+    EXPECT_FALSE(svg::store::load_snapshot_file_full(path, &env).has_value())
+        << "truncated to " << keep;
+    std::remove(path.c_str());
   }
 }
 

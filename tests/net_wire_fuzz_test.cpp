@@ -1,19 +1,37 @@
 // Robustness fuzzing: the server decodes attacker-controlled bytes, so no
 // corruption, truncation, or random garbage may crash, hang, or allocate
 // absurdly — decoders return nullopt (or a valid message) and nothing else.
+//
+// The codec table runs one set of checks over every encoder that shares
+// the util frame (util/bytes.hpp), plus the WAL record in its frame:
+// round trip, every truncation, every single-bit flip, a trailing byte,
+// and unknown / repeated / descending extension tags.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <algorithm>
+#include <filesystem>
+#include <functional>
+#include <string>
+
+#include "cluster/wire.hpp"
 #include "net/clip_fetch.hpp"
 #include "net/server.hpp"
-#include "net/snapshot.hpp"
 #include "net/wire.hpp"
 #include "sim/crowd.hpp"
+#include "store/env.hpp"
+#include "store/snapshot.hpp"
+#include "store/wal.hpp"
+#include "util/bytes.hpp"
 #include "util/rng.hpp"
 
 namespace {
 
 using namespace svg::net;
+using svg::store::decode_snapshot;
+using svg::store::encode_snapshot;
+using svg::util::ByteWriter;
 
 std::vector<std::uint8_t> valid_upload_bytes(std::uint64_t seed) {
   svg::sim::CityModel city;
@@ -103,7 +121,7 @@ TEST(WireFuzzTest, ClipResponseLengthFieldCannotOverallocate) {
   w.put_varint(1000);                // duration
   w.put_varint(1ULL << 40);          // claimed payload: 1 TB
   w.put_u8(0);                       // ...but only one byte follows
-  const auto out = decode_clip_response(w.bytes());
+  const auto out = decode_clip_response(svg::util::seal(w));
   EXPECT_FALSE(out.has_value());
 }
 
@@ -119,25 +137,6 @@ std::vector<std::uint8_t> valid_upload_v2_bytes(std::uint64_t seed,
     msg.segments.push_back(r);
   }
   return encode_upload(msg);
-}
-
-TEST(WireFuzzTest, LegacyIdlessUploadKeepsV1WireFormat) {
-  // upload_id == 0 must emit the original kMsgUpload layout, so pre-retry
-  // clients and archived captures stay decodable — and decode back with
-  // upload_id == 0.
-  const auto v1 = valid_upload_bytes(11);
-  ASSERT_FALSE(v1.empty());
-  EXPECT_EQ(v1[0], kMsgUpload);
-  const auto back = decode_upload(v1);
-  ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(back->upload_id, 0u);
-  EXPECT_EQ(back->segments.size(), 16u);
-
-  const auto v2 = valid_upload_v2_bytes(11, 99);
-  EXPECT_EQ(v2[0], kMsgUploadV2);
-  const auto back2 = decode_upload(v2);
-  ASSERT_TRUE(back2.has_value());
-  EXPECT_EQ(back2->upload_id, 99u);
 }
 
 TEST(WireFuzzTest, UploadV2DecoderSurvivesTruncationAtEveryOffset) {
@@ -245,6 +244,362 @@ TEST(WireFuzzTest, ServerHandlesFuzzedUploadsWithoutStateCorruption) {
   const auto stats = server.stats();
   EXPECT_EQ(stats.uploads_accepted, accepted + 1);
   EXPECT_EQ(stats.uploads_rejected, 500 - accepted);
+}
+
+// --- the codec table --------------------------------------------------------
+
+using Bytes = std::vector<std::uint8_t>;
+namespace cluster = svg::cluster;
+namespace store = svg::store;
+
+std::vector<svg::core::RepresentativeFov> table_reps(std::size_t n,
+                                                     std::uint64_t seed) {
+  svg::sim::CityModel city;
+  svg::util::Xoshiro256 rng(seed);
+  return svg::sim::random_representative_fovs(n, city, 1'400'000'000'000,
+                                              3'600'000, rng);
+}
+
+/// One encoder's row: a valid encoding, the decoder (re-encoding what it
+/// decoded, nullopt when it rejects), how to wrap a body in the row's
+/// integrity envelope, and the extension tags the message accepts.
+struct CodecRow {
+  std::string name;
+  Bytes bytes;
+  std::function<std::optional<Bytes>(std::span<const std::uint8_t>)>
+      reencode;
+  /// The body the envelope covers, and the envelope around a body.
+  std::function<Bytes(std::span<const std::uint8_t>)> body_of;
+  std::function<Bytes(Bytes)> wrap;
+  std::vector<std::uint64_t> tags;
+  bool has_ext = false;  ///< the encoding already carries extensions
+};
+
+/// A decoder lifted to "re-encode whatever decoded".
+template <typename Decode, typename Encode>
+auto via(Decode decode, Encode encode) {
+  return [decode, encode](std::span<const std::uint8_t> b)
+             -> std::optional<Bytes> {
+    const auto m = decode(b);
+    if (!m) return std::nullopt;
+    return encode(*m);
+  };
+}
+
+Bytes sealed_body(std::span<const std::uint8_t> b) {
+  return {b.begin(), b.end() - 4};
+}
+
+Bytes seal_body(Bytes body) {
+  ByteWriter w;
+  w.put_bytes(body);
+  return svg::util::seal(w);
+}
+
+/// A one-record WAL segment holding `payload`, as store::Wal writes it.
+Bytes wal_segment_of(std::span<const std::uint8_t> payload) {
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("svg_codec_table_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  store::WalOptions opts;
+  opts.dir = dir.string();
+  opts.fsync = store::FsyncPolicy::kNone;
+  {
+    auto opened = store::wal_open(opts, 0, nullptr);
+    EXPECT_TRUE(opened.wal != nullptr) << opened.error;
+    if (opened.wal) {
+      EXPECT_EQ(opened.wal->append(payload), 1u);
+    }
+  }
+  auto bytes =
+      store::Env::posix().read_file(store::wal_segment_path(opts.dir, 1));
+  std::filesystem::remove_all(dir);
+  return bytes.value_or(Bytes{});
+}
+
+/// The upload record held by a one-record WAL segment.
+std::optional<store::UploadRecord> wal_record_in(
+    std::span<const std::uint8_t> segment) {
+  if (!store::wal_segment_header_ok(segment, 1)) return std::nullopt;
+  std::vector<Bytes> payloads;
+  const auto walk = store::walk_wal_frames(
+      segment, [&](std::uint64_t, std::span<const std::uint8_t> p) {
+        payloads.emplace_back(p.begin(), p.end());
+      });
+  if (walk.stop != store::WalStop::kClean || payloads.size() != 1) {
+    return std::nullopt;
+  }
+  return store::decode_upload_record(payloads.front());
+}
+
+CodecRow sealed_row(std::string name, Bytes bytes,
+                    std::function<std::optional<Bytes>(
+                        std::span<const std::uint8_t>)> reencode,
+                    std::vector<std::uint64_t> tags = {},
+                    bool has_ext = false) {
+  return {std::move(name), std::move(bytes), std::move(reencode),
+          sealed_body,     seal_body,        std::move(tags),
+          has_ext};
+}
+
+std::vector<CodecRow> codec_table() {
+  std::vector<CodecRow> rows;
+  const std::vector<std::uint64_t> upload_tags{kTagTraceId, kTagParentSpan,
+                                               kTagEpoch};
+  const auto upload_rt = via(decode_upload, encode_upload);
+  UploadMessage up;
+  up.upload_id = 0xDEADBEEF;
+  up.video_id = 77;
+  up.segments = table_reps(6, 1);
+  for (auto& s : up.segments) s.video_id = up.video_id;
+  rows.push_back(sealed_row("upload", encode_upload(up), upload_rt,
+                            upload_tags));
+  UploadMessage idless = up;
+  idless.upload_id = 0;
+  rows.push_back(sealed_row("upload without id", encode_upload(idless),
+                            upload_rt, upload_tags));
+  UploadMessage traced = up;
+  traced.trace_id = 0x1234567;
+  rows.push_back(sealed_row("upload + trace id", encode_upload(traced),
+                            upload_rt, upload_tags, true));
+  UploadMessage parent = up;
+  parent.parent_span_id = 0x99;
+  rows.push_back(sealed_row("upload + parent span", encode_upload(parent),
+                            upload_rt, upload_tags, true));
+  UploadMessage stamped = up;
+  stamped.route_epoch = 0;
+  rows.push_back(sealed_row("upload + epoch", encode_upload(stamped),
+                            upload_rt, upload_tags, true));
+  UploadMessage all = traced;
+  all.parent_span_id = 0x99;
+  all.route_epoch = 12;
+  rows.push_back(sealed_row("upload + every tag", encode_upload(all),
+                            upload_rt, upload_tags, true));
+
+  const std::vector<std::uint64_t> ack_tags{kTagEpoch, kTagRetryAfterMs};
+  const auto ack_rt = via(decode_upload_ack, encode_upload_ack);
+  for (const auto status :
+       {UploadAckStatus::kRejected, UploadAckStatus::kAccepted,
+        UploadAckStatus::kDuplicate, UploadAckStatus::kRetryLater,
+        UploadAckStatus::kStaleEpoch}) {
+    UploadAck ack;
+    ack.upload_id = 0xDEADBEEF;
+    ack.status = status;
+    ack.segments_indexed = 6;
+    rows.push_back(sealed_row(
+        "ack status " + std::to_string(static_cast<int>(status)),
+        encode_upload_ack(ack), ack_rt, ack_tags));
+  }
+  UploadAck hinted;
+  hinted.upload_id = 5;
+  hinted.status = UploadAckStatus::kRetryLater;
+  hinted.retry_after_ms = 250;
+  rows.push_back(sealed_row("ack + retry-after", encode_upload_ack(hinted),
+                            ack_rt, ack_tags, true));
+  UploadAck fenced;
+  fenced.upload_id = 5;
+  fenced.status = UploadAckStatus::kStaleEpoch;
+  fenced.node_epoch = 0;
+  rows.push_back(sealed_row("ack + node epoch", encode_upload_ack(fenced),
+                            ack_rt, ack_tags, true));
+  fenced.retry_after_ms = 9;
+  rows.push_back(sealed_row("ack + both tags", encode_upload_ack(fenced),
+                            ack_rt, ack_tags, true));
+
+  QueryMessage q;
+  q.t_start = 1'400'000'000'000;
+  q.t_end = q.t_start + 600'000;
+  q.center = {39.9042, 116.4074};
+  q.radius_m = 75.0;
+  q.top_n = 25;
+  rows.push_back(
+      sealed_row("query", encode_query(q), via(decode_query, encode_query)));
+  ResultsMessage res;
+  for (std::uint64_t i = 0; i < 4; ++i) {
+    res.entries.push_back({i * 100, static_cast<std::uint32_t>(i),
+                           1'400'000'000'000 + static_cast<std::int64_t>(i),
+                           1'400'000'005'000, static_cast<float>(i) * 7.5F});
+  }
+  const auto results_rt = via(decode_results, encode_results);
+  rows.push_back(sealed_row("results", encode_results(res), results_rt));
+  rows.push_back(sealed_row("results, empty", encode_results({}), results_rt));
+
+  rows.push_back(sealed_row("clip request",
+                            encode_clip_request({7, 1'000, 61'000}),
+                            via(decode_clip_request, encode_clip_request)));
+  const auto clip_rt = via(decode_clip_response, encode_clip_response);
+  ClipResponse found;
+  found.found = true;
+  found.clip.video_id = 7;
+  found.clip.t_start = 1'000;
+  found.clip.t_end = 61'000;
+  found.clip.payload = {1, 2, 3, 4, 5, 6, 7, 8, 9};
+  rows.push_back(sealed_row("clip response", encode_clip_response(found),
+                            clip_rt));
+  rows.push_back(sealed_row("clip response, not found",
+                            encode_clip_response({}), clip_rt));
+
+  cluster::QueryFanoutMessage fan;
+  fan.epoch = 3;
+  fan.t_start = q.t_start;
+  fan.t_end = q.t_end;
+  fan.center = q.center;
+  fan.radius_m = 312.5;
+  rows.push_back(sealed_row(
+      "query fan-out", cluster::encode_query_fanout(fan),
+      via(cluster::decode_query_fanout, cluster::encode_query_fanout)));
+  cluster::FanoutResultsMessage fres;
+  fres.node = 2;
+  for (const auto& rep : table_reps(3, 2)) {
+    fres.results.push_back({rep, 12.25, 0.875});
+  }
+  rows.push_back(sealed_row(
+      "fan-out results", cluster::encode_fanout_results(fres),
+      via(cluster::decode_fanout_results, cluster::encode_fanout_results)));
+  const std::vector<std::uint64_t> epoch_tag{kTagEpoch};
+  cluster::ReplicateBatchMessage batch;
+  batch.primary = 1;
+  batch.first_seq = 40;
+  batch.payloads = {store::encode_upload_record(up.segments, 9),
+                    store::encode_upload_record(up.segments, 10)};
+  const auto batch_rt =
+      via(cluster::decode_replicate_batch, cluster::encode_replicate_batch);
+  rows.push_back(sealed_row("replicate batch",
+                            cluster::encode_replicate_batch(batch), batch_rt,
+                            epoch_tag));
+  batch.epoch = 4;
+  rows.push_back(sealed_row("replicate batch + epoch",
+                            cluster::encode_replicate_batch(batch), batch_rt,
+                            epoch_tag, true));
+  cluster::ReplicateAckMessage rack;
+  rack.follower = 2;
+  rack.applied_seq = 41;
+  const auto rack_rt =
+      via(cluster::decode_replicate_ack, cluster::encode_replicate_ack);
+  rows.push_back(sealed_row("replicate ack",
+                            cluster::encode_replicate_ack(rack), rack_rt,
+                            epoch_tag));
+  rack.epoch = 0;
+  rows.push_back(sealed_row("replicate ack + epoch",
+                            cluster::encode_replicate_ack(rack), rack_rt,
+                            epoch_tag, true));
+  cluster::RoutingTableMessage routing;
+  routing.partition.bounds.min = {116.2, 39.8};
+  routing.partition.bounds.max = {116.6, 40.1};
+  routing.partition.partitions = 3;
+  routing.table = cluster::RoutingTable::identity(3);
+  routing.table.epoch = 5;
+  rows.push_back(sealed_row(
+      "routing table", cluster::encode_routing_table(routing),
+      via(cluster::decode_routing_table, cluster::encode_routing_table)));
+
+  rows.push_back(sealed_row(
+      "snapshot", encode_snapshot(table_reps(5, 3), 99, {3, 42, 7}),
+      [](std::span<const std::uint8_t> b) -> std::optional<Bytes> {
+        const auto snap = store::decode_snapshot_full(b);
+        if (!snap) return std::nullopt;
+        return encode_snapshot(snap->reps, snap->last_seq, snap->upload_ids);
+      }));
+
+  for (const std::uint64_t id : {std::uint64_t{0}, std::uint64_t{0xFEED}}) {
+    rows.push_back(
+        {"WAL record, id " + std::to_string(id),
+         wal_segment_of(store::encode_upload_record(up.segments, id)),
+         [](std::span<const std::uint8_t> b) -> std::optional<Bytes> {
+           const auto rec = wal_record_in(b);
+           if (!rec) return std::nullopt;
+           return wal_segment_of(
+               store::encode_upload_record(rec->reps, rec->upload_id));
+         },
+         [](std::span<const std::uint8_t> b) {
+           // header (16) | len (4) | crc (4) | payload
+           return Bytes(b.begin() + 24, b.end());
+         },
+         [](Bytes payload) { return wal_segment_of(payload); },
+         {},
+         false});
+  }
+  return rows;
+}
+
+/// `body` of the row with (tag, value) pairs appended, re-wrapped.
+Bytes with_pairs(const CodecRow& row,
+                 std::vector<std::pair<std::uint64_t, std::uint64_t>> pairs) {
+  ByteWriter w;
+  w.put_bytes(row.body_of(row.bytes));
+  for (const auto& [tag, value] : pairs) w.put_ext(tag, value);
+  return row.wrap(w.take());
+}
+
+TEST(WireFuzzTest, CodecTableRoundTrips) {
+  for (const CodecRow& row : codec_table()) {
+    SCOPED_TRACE(row.name);
+    ASSERT_FALSE(row.bytes.empty());
+    const auto again = row.reencode(row.bytes);
+    ASSERT_TRUE(again.has_value());
+    EXPECT_EQ(*again, row.bytes);
+    // The envelope helpers reproduce the row's own bytes.
+    EXPECT_EQ(row.wrap(row.body_of(row.bytes)), row.bytes);
+  }
+}
+
+TEST(WireFuzzTest, CodecTableRejectsEveryTruncation) {
+  for (const CodecRow& row : codec_table()) {
+    SCOPED_TRACE(row.name);
+    for (std::size_t cut = 0; cut < row.bytes.size(); ++cut) {
+      EXPECT_FALSE(row.reencode({row.bytes.data(), cut}).has_value())
+          << "cut at " << cut;
+    }
+  }
+}
+
+TEST(WireFuzzTest, CodecTableRejectsEveryBitFlip) {
+  for (const CodecRow& row : codec_table()) {
+    SCOPED_TRACE(row.name);
+    for (std::size_t bit = 0; bit < row.bytes.size() * 8; ++bit) {
+      auto bytes = row.bytes;
+      bytes[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+      EXPECT_FALSE(row.reencode(bytes).has_value()) << "bit " << bit;
+    }
+  }
+}
+
+TEST(WireFuzzTest, CodecTableRejectsTrailingBytes) {
+  for (const CodecRow& row : codec_table()) {
+    SCOPED_TRACE(row.name);
+    auto after = row.bytes;  // after the envelope
+    after.push_back(0);
+    EXPECT_FALSE(row.reencode(after).has_value());
+    // Inside the envelope: a tag no message defines.
+    EXPECT_FALSE(row.reencode(with_pairs(row, {{5, 1}})).has_value());
+    EXPECT_FALSE(row.reencode(with_pairs(row, {{63, 1}})).has_value());
+  }
+}
+
+TEST(WireFuzzTest, CodecTableRejectsRepeatedAndDescendingTags) {
+  for (const CodecRow& row : codec_table()) {
+    if (row.has_ext) continue;  // start from an extension-free encoding
+    SCOPED_TRACE(row.name);
+    for (std::uint64_t tag = 0; tag < 16; ++tag) {
+      const bool known = std::find(row.tags.begin(), row.tags.end(), tag) !=
+                         row.tags.end();
+      EXPECT_EQ(row.reencode(with_pairs(row, {{tag, 1}})).has_value(), known)
+          << "tag " << tag;
+      EXPECT_FALSE(
+          row.reencode(with_pairs(row, {{tag, 1}, {tag, 2}})).has_value())
+          << "repeated tag " << tag;
+    }
+    for (std::size_t i = 0; i + 1 < row.tags.size(); ++i) {
+      const auto lo = row.tags[i];
+      const auto hi = row.tags[i + 1];
+      EXPECT_TRUE(
+          row.reencode(with_pairs(row, {{lo, 1}, {hi, 1}})).has_value())
+          << "ascending " << lo << "," << hi;
+      EXPECT_FALSE(
+          row.reencode(with_pairs(row, {{hi, 1}, {lo, 1}})).has_value())
+          << "descending " << hi << "," << lo;
+    }
+  }
 }
 
 }  // namespace

@@ -4,12 +4,15 @@
 
 #include <vector>
 
+#include "util/bytes.hpp"
 #include "util/rng.hpp"
 
 namespace {
 
 using namespace svg::net;
 using svg::core::RepresentativeFov;
+using svg::util::ByteReader;
+using svg::util::ByteWriter;
 
 TEST(VarintTest, RoundTripBoundaries) {
   ByteWriter w;

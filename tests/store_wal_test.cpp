@@ -12,6 +12,7 @@
 #include <thread>
 #include <vector>
 
+#include "store/snapshot.hpp"
 #include "util/bytes.hpp"
 
 namespace {
@@ -307,11 +308,12 @@ std::vector<svg::core::RepresentativeFov> codec_reps() {
   return reps;
 }
 
-TEST(WalRecordCodecTest, LegacyV1LayoutEmittedForIdlessRecords) {
+TEST(WalRecordCodecTest, IdlessRecordsShareTheOneLayout) {
   const auto reps = codec_reps();
   const auto bytes = encode_upload_record(reps);  // default upload_id = 0
-  ASSERT_FALSE(bytes.empty());
-  EXPECT_EQ(bytes[0], kWalRecUpload);  // byte-identical pre-dedup layout
+  ASSERT_GE(bytes.size(), 2u);
+  EXPECT_EQ(bytes[0], kWalRecUpload);
+  EXPECT_EQ(bytes[1], 0u);  // the id varint, 0 = no dedup id
   const auto rec = decode_upload_record(bytes);
   ASSERT_TRUE(rec.has_value());
   EXPECT_EQ(rec->upload_id, 0u);
@@ -324,39 +326,50 @@ TEST(WalRecordCodecTest, LegacyV1LayoutEmittedForIdlessRecords) {
     EXPECT_EQ(rec->reps[i].t_start, reps[i].t_start);
     EXPECT_EQ(rec->reps[i].t_end, reps[i].t_end);
   }
+  // The id-less type-1 layout (u8 1 | count | records) does not decode.
+  svg::util::ByteWriter w;
+  w.put_u8(1);
+  w.put_varint(reps.size());
+  put_rep_records(w, reps);
+  EXPECT_FALSE(decode_upload_record(w.bytes()).has_value());
 }
 
 TEST(WalRecordCodecTest, V2RoundTripsUploadId) {
   const auto reps = codec_reps();
   const auto bytes = encode_upload_record(reps, 0xABCDEF0123456789ULL);
-  EXPECT_EQ(bytes[0], kWalRecUploadV2);
+  EXPECT_EQ(bytes[0], kWalRecUpload);
+  // The record layout, pinned byte for byte.
+  const std::vector<std::uint8_t> pinned{
+      0x02, 0x89, 0xCF, 0x95, 0x9A, 0x92, 0xE0, 0xFB, 0xE6, 0xAB, 0x01, 0x05,
+      0x64, 0x00, 0x80, 0x87, 0xC2, 0xFC, 0x02, 0x80, 0xEC, 0x89, 0xD6, 0x08,
+      0x00, 0x00, 0x80, 0xC0, 0x85, 0xE8, 0xBE, 0x51, 0xB8, 0x17, 0x65, 0x01,
+      0xA0, 0x9C, 0x01, 0xBF, 0xB8, 0x02, 0xE8, 0x03, 0x90, 0x4E, 0xB8, 0x17,
+      0x66, 0x02, 0xA0, 0x9C, 0x01, 0xBF, 0xB8, 0x02, 0xD0, 0x07, 0x90, 0x4E,
+      0xB8, 0x17, 0x67, 0x03, 0xA0, 0x9C, 0x01, 0xBF, 0xB8, 0x02, 0xB8, 0x0B,
+      0x90, 0x4E, 0xB8, 0x17, 0x68, 0x04, 0xA0, 0x9C, 0x01, 0xBF, 0xB8, 0x02,
+      0xA0, 0x0F, 0x90, 0x4E, 0xB8, 0x17};
+  EXPECT_EQ(bytes, pinned);
   const auto rec = decode_upload_record(bytes);
   ASSERT_TRUE(rec.has_value());
   EXPECT_EQ(rec->upload_id, 0xABCDEF0123456789ULL);
   EXPECT_EQ(rec->reps.size(), reps.size());
 }
 
-TEST(WalRecordCodecTest, RejectsUnknownTypeZeroIdAndTruncation) {
+TEST(WalRecordCodecTest, RejectsUnknownTypeTruncationAndTrailingBytes) {
   const auto reps = codec_reps();
-  auto v2 = encode_upload_record(reps, 42);
+  const auto bytes = encode_upload_record(reps, 42);
   {
-    auto bad = v2;
+    auto bad = bytes;
     bad[0] = 99;  // unknown record type
     EXPECT_FALSE(decode_upload_record(bad).has_value());
   }
-  {
-    // A v2 frame claiming id 0 is malformed: 0 is the legacy marker and
-    // must never appear inside the dedup set.
-    svg::util::ByteWriter w;
-    w.put_u8(kWalRecUploadV2);
-    w.put_varint(0);
-    w.put_varint(0);
-    EXPECT_FALSE(decode_upload_record(w.bytes()).has_value());
+  for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
+    EXPECT_FALSE(decode_upload_record({bytes.data(), cut}).has_value())
+        << "cut at " << cut;
   }
-  for (std::size_t cut = 0; cut + 1 < v2.size(); ++cut) {
-    (void)decode_upload_record({v2.data(), cut});  // must not crash
-  }
-  EXPECT_FALSE(decode_upload_record({}).has_value());
+  auto trailing = bytes;
+  trailing.push_back(0);
+  EXPECT_FALSE(decode_upload_record(trailing).has_value());
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-#include "store/crc32c.hpp"
+#include "util/crc32c.hpp"
 
 #include <gtest/gtest.h>
 
@@ -8,8 +8,8 @@
 
 namespace {
 
-using svg::store::crc32c;
-using svg::store::crc32c_extend;
+using svg::util::crc32c;
+using svg::util::crc32c_extend;
 
 std::vector<std::uint8_t> bytes_of(const std::string& s) {
   return {s.begin(), s.end()};
