@@ -47,8 +47,7 @@ int main() {
   net::CloudServer server({}, {.camera = cam,
                                .orientation_slack_deg = 10.0,
                                .orientation_filter = true,
-                               .top_n = 10,
-                               .box_expansion = 0.0});
+                               .top_n = 10});
   for (const auto& s : sessions) {
     const double dur =
         static_cast<double>(s.records.back().t - s.records.front().t) /
@@ -142,8 +141,7 @@ int main() {
     net::CloudServer durable_server({}, {.camera = cam,
                                          .orientation_slack_deg = 10.0,
                                          .orientation_filter = true,
-                                         .top_n = 10,
-                                         .box_expansion = 0.0},
+                                         .top_n = 10},
                                     dcfg);
     for (const auto& s : sessions) {
       net::MobileClient client(s.video_id, model, {0.5});
@@ -176,8 +174,7 @@ int main() {
     net::CloudServer lossy_server({}, {.camera = cam,
                                        .orientation_slack_deg = 10.0,
                                        .orientation_filter = true,
-                                       .top_n = 10,
-                                       .box_expansion = 0.0});
+                                       .top_n = 10});
     net::RetryPolicy policy;
     policy.max_attempts = 32;
     net::UploadQueue queue(policy, 24, &clock);
@@ -210,8 +207,7 @@ int main() {
     net::CloudServer traced_server({}, {.camera = cam,
                                         .orientation_slack_deg = 10.0,
                                         .orientation_filter = true,
-                                        .top_n = 10,
-                                        .box_expansion = 0.0});
+                                        .top_n = 10});
     std::uint64_t traced_ingest_bytes = 0;
     std::uint64_t next_upload = 1;
     for (const auto& s : sessions) {

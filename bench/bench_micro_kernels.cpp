@@ -8,7 +8,8 @@
 // Beyond the google-benchmark registry, two flags drive the columnar
 // kernel acceptance gate:
 //   --gate  hand-rolled best-of-attempts throughput comparison; exit 1
-//           unless the columnar range scan AND the fused candidate filter
+//           unless the columnar range scan AND the serving composition
+//           (scan_range, then the orientation test on the hits' columns)
 //           both beat their scalar AoS counterparts on rows/s (the SoA
 //           layout + branch-free append exist for exactly this)
 //   --json  machine-readable kernel throughputs — the generator for
@@ -19,17 +20,17 @@
 
 #include <benchmark/benchmark.h>
 
-#include <cmath>
+#include <algorithm>
+#include <cstdlib>
 #include <cstring>
 #include <iostream>
-#include <numbers>
 
 #include "core/segmentation.hpp"
 #include "core/similarity.hpp"
 #include "cv/renderer.hpp"
 #include "cv/similarity.hpp"
-#include "geo/angle.hpp"
 #include "geo/geodesy.hpp"
+#include "geo/sector.hpp"
 #include "index/columnar.hpp"
 #include "index/fov_index.hpp"
 #include "net/wire.hpp"
@@ -175,17 +176,20 @@ void BM_FrameDifference(benchmark::State& state) {
 BENCHMARK(BM_FrameDifference)->Arg(320)->Arg(640)->Arg(1280);
 
 // --- columnar scan kernels vs the scalar AoS path ----------------------
-// Same rows, same predicate, two layouts: FovColumns + the branch-free
-// kernels from index/columnar.cpp against an AoS RepresentativeFov vector
-// walked with the early-exit per-row test the R-tree leaf visitor and
-// RetrievalEngine::passes_orientation perform.
+// Same rows, same predicates, two layouts. The range row: FovColumns +
+// the branch-free scan_range against an AoS RepresentativeFov vector
+// walked with the early-exit per-row test the R-tree leaf visitor
+// performs. The sight row is what serves a query: the tiered index's
+// scan_range and then geo::sight on the hits' position and heading
+// columns (FovColumns::sight_at), against the engine's path for an AoS
+// index — per row, the range test, then direction_of_azimuth(θ) and the
+// same geo::sight.
 
 struct KernelFixture {
   index::FovColumns cols;
   std::vector<core::RepresentativeFov> rows;
   index::GeoTimeRange range{};
-  index::CandidateFilter filter{};
-  double limit_deg = 0.0;
+  geo::SightTest sight{{}, 0.0, 0.0};
 
   explicit KernelFixture(std::size_t n) {
     sim::CityModel city;
@@ -203,15 +207,7 @@ struct KernelFixture {
     range = {c.lng - 0.006, c.lng + 0.006, c.lat - 0.006, c.lat + 0.006,
              1'400'000'000'000, 1'400'000'000'000 + 25'000'000};
     const core::CameraIntrinsics cam{};
-    limit_deg = cam.half_angle_deg + 5.0;
-    filter.range = range;
-    filter.center_lng = c.lng;
-    filter.center_lat = c.lat;
-    filter.m_per_deg_lng = geo::metres_per_degree_lng(c.lat);
-    filter.m_per_deg_lat = geo::metres_per_degree_lat();
-    filter.radius_m = cam.radius_m;
-    filter.cos_limit =
-        std::cos(limit_deg * std::numbers::pi / 180.0);
+    sight = geo::SightTest(c, cam.radius_m, cam.half_angle_deg + 5.0);
   }
 
   [[nodiscard]] std::size_t aos_scan_range(
@@ -229,7 +225,22 @@ struct KernelFixture {
     return out.size() - before;
   }
 
-  [[nodiscard]] std::size_t aos_scan_candidates(
+  [[nodiscard]] std::size_t columnar_scan_sight(
+      std::vector<std::uint32_t>& out) const {
+    const std::size_t before = out.size();
+    index::scan_range(cols, 0, static_cast<std::uint32_t>(cols.size()),
+                      range, out);
+    std::size_t w = before;
+    for (std::size_t i = before; i < out.size(); ++i) {
+      const std::uint32_t r = out[i];
+      out[w] = r;
+      w += static_cast<std::size_t>(cols.sight_at(r, sight).seen);
+    }
+    out.resize(w);
+    return w - before;
+  }
+
+  [[nodiscard]] std::size_t aos_scan_sight(
       std::vector<std::uint32_t>& out) const {
     const std::size_t before = out.size();
     for (std::size_t i = 0; i < rows.size(); ++i) {
@@ -239,22 +250,9 @@ struct KernelFixture {
           r.t_end < range.t_start || r.t_start > range.t_end) {
         continue;
       }
-      // Same planar displacement model as the columnar filter, with the
-      // per-row atan2 the dot-product trick removes.
-      const double e =
-          (filter.center_lng - r.fov.p.lng) * filter.m_per_deg_lng;
-      const double nr =
-          (filter.center_lat - r.fov.p.lat) * filter.m_per_deg_lat;
-      const double dist = std::sqrt(e * e + nr * nr);
-      if (dist > filter.radius_m) continue;
-      if (dist > 0.0) {
-        const double bearing = geo::azimuth_of_direction(e, nr);
-        if (geo::angular_difference_deg(bearing, r.fov.theta_deg) >
-            limit_deg) {
-          continue;
-        }
+      if (sight.of(r.fov.p, r.fov.theta_deg).seen) {
+        out.push_back(static_cast<std::uint32_t>(i));
       }
-      out.push_back(static_cast<std::uint32_t>(i));
     }
     return out.size() - before;
   }
@@ -291,31 +289,29 @@ void BM_AosScanRange(benchmark::State& state) {
 }
 BENCHMARK(BM_AosScanRange);
 
-void BM_ColumnarCandidateFilter(benchmark::State& state) {
+void BM_ColumnarScanSight(benchmark::State& state) {
   const auto& f = kernel_fixture();
   std::vector<std::uint32_t> out;
   for (auto _ : state) {
     out.clear();
-    benchmark::DoNotOptimize(index::scan_candidates(
-        f.cols, 0, static_cast<std::uint32_t>(f.cols.size()), f.filter,
-        out));
+    benchmark::DoNotOptimize(f.columnar_scan_sight(out));
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(f.cols.size()));
 }
-BENCHMARK(BM_ColumnarCandidateFilter);
+BENCHMARK(BM_ColumnarScanSight);
 
-void BM_AosCandidateFilter(benchmark::State& state) {
+void BM_AosScanSight(benchmark::State& state) {
   const auto& f = kernel_fixture();
   std::vector<std::uint32_t> out;
   for (auto _ : state) {
     out.clear();
-    benchmark::DoNotOptimize(f.aos_scan_candidates(out));
+    benchmark::DoNotOptimize(f.aos_scan_sight(out));
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(f.rows.size()));
 }
-BENCHMARK(BM_AosCandidateFilter);
+BENCHMARK(BM_AosScanSight);
 
 // --- hand-rolled gate path ---------------------------------------------
 
@@ -373,16 +369,12 @@ int run_kernel_gate(bool gate, bool json, int attempts) {
       },
       [&](std::vector<std::uint32_t>& out) { return f.aos_scan_range(out); },
       attempts);
-  const auto cand = measure_kernel(
+  const auto sight = measure_kernel(
       f,
       [&](std::vector<std::uint32_t>& out) {
-        return index::scan_candidates(
-            f.cols, 0, static_cast<std::uint32_t>(f.cols.size()), f.filter,
-            out);
+        return f.columnar_scan_sight(out);
       },
-      [&](std::vector<std::uint32_t>& out) {
-        return f.aos_scan_candidates(out);
-      },
+      [&](std::vector<std::uint32_t>& out) { return f.aos_scan_sight(out); },
       attempts);
 
   if (json) {
@@ -397,26 +389,26 @@ int run_kernel_gate(bool gate, bool json, int attempts) {
               << range.aos_rows_per_us << ", \"speedup\": "
               << range.columnar_rows_per_us / range.aos_rows_per_us
               << ", \"hits\": " << range.hits << "},\n"
-              << "    {\"kernel\": \"scan_candidates\", "
+              << "    {\"kernel\": \"scan_range+sight\", "
                  "\"columnar_rows_per_us\": "
-              << cand.columnar_rows_per_us << ", \"aos_rows_per_us\": "
-              << cand.aos_rows_per_us << ", \"speedup\": "
-              << cand.columnar_rows_per_us / cand.aos_rows_per_us
-              << ", \"hits\": " << cand.hits << "}\n"
+              << sight.columnar_rows_per_us << ", \"aos_rows_per_us\": "
+              << sight.aos_rows_per_us << ", \"speedup\": "
+              << sight.columnar_rows_per_us / sight.aos_rows_per_us
+              << ", \"hits\": " << sight.hits << "}\n"
               << "  ]\n}\n";
   } else {
-    std::cout << "scan_range:      columnar " << range.columnar_rows_per_us
+    std::cout << "scan_range:       columnar " << range.columnar_rows_per_us
               << " rows/us vs aos " << range.aos_rows_per_us << " ("
               << range.columnar_rows_per_us / range.aos_rows_per_us
               << "x), " << range.hits << " hits\n"
-              << "scan_candidates: columnar " << cand.columnar_rows_per_us
-              << " rows/us vs aos " << cand.aos_rows_per_us << " ("
-              << cand.columnar_rows_per_us / cand.aos_rows_per_us
-              << "x), " << cand.hits << " hits\n";
+              << "scan_range+sight: columnar " << sight.columnar_rows_per_us
+              << " rows/us vs aos " << sight.aos_rows_per_us << " ("
+              << sight.columnar_rows_per_us / sight.aos_rows_per_us
+              << "x), " << sight.hits << " hits\n";
   }
   if (gate) {
     if (range.columnar_rows_per_us <= range.aos_rows_per_us ||
-        cand.columnar_rows_per_us <= cand.aos_rows_per_us) {
+        sight.columnar_rows_per_us <= sight.aos_rows_per_us) {
       std::cerr << "gate: FAIL — columnar kernels must beat the scalar AoS "
                    "path on rows/s\n";
       return 1;

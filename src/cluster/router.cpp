@@ -201,13 +201,11 @@ std::vector<retrieval::RankedResult> Router::search(
   m.queries.inc();
   if (complete != nullptr) *complete = true;
 
-  // Prune with the same expanded rectangle the per-node engines search,
-  // so a camera in a neighbouring cell that can see into the query circle
-  // is never skipped.
-  const double expansion = retrieval_.box_expansion > 0.0
-                               ? retrieval_.box_expansion
-                               : lossless_expansion(q, retrieval_.camera);
-  const index::GeoTimeRange range = retrieval::make_search_range(q, expansion);
+  // Prune with the rectangle the per-node engines search, so a camera in
+  // a neighbouring cell that can see into the query circle is never
+  // skipped.
+  const index::GeoTimeRange range =
+      retrieval::search_range(q, retrieval_.camera);
   const std::vector<std::size_t> parts =
       partitioner_.partitions_for_range(range);
 

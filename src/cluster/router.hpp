@@ -3,7 +3,7 @@
 // geo-cell of every segment's FoV position into per-partition sub-uploads,
 // delivers each to the partition's serving node, and aggregates the
 // sub-acks into one client-visible ack; fans queries out only to the
-// nodes whose cells intersect the (lossless-expanded) search rectangle
+// nodes whose cells intersect the search rectangle (retrieval::search_range)
 // and k-way-merges the per-node top-N lists deterministically
 // (retrieval::merge_ranked_lists with the RankedBefore tie-break).
 //
@@ -51,7 +51,7 @@ using NodeExchange = std::function<std::vector<std::vector<std::uint8_t>>(
 class Router {
  public:
   /// `retrieval` must match the nodes' config: the fan-out prune uses the
-  /// same expanded search rectangle the per-node engines search, so a
+  /// same search rectangle the per-node engines search, so a
   /// camera in a neighbouring cell that sees into the query circle is
   /// never pruned away.
   Router(GeoPartitioner partitioner, retrieval::RetrievalConfig retrieval,

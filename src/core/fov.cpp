@@ -22,13 +22,9 @@ geo::Sector viewable_scene(const FoV& fov, const CameraIntrinsics& cam,
 
 bool covers_point(const FoV& fov, const CameraIntrinsics& cam,
                   const geo::LatLng& target) {
-  const geo::Vec2 d = geo::displacement_m(fov.p, target);
-  const double dist2 = d.norm2();
-  if (dist2 > cam.radius_m * cam.radius_m) return false;
-  if (dist2 == 0.0) return true;
-  const double bearing = geo::azimuth_of_direction(d.x, d.y);
-  return geo::angular_difference_deg(bearing, fov.theta_deg) <=
-         cam.half_angle_deg;
+  return geo::SightTest(target, cam.radius_m, cam.half_angle_deg)
+      .of(fov.p, fov.theta_deg)
+      .seen;
 }
 
 }  // namespace svg::core

@@ -83,7 +83,7 @@ struct RepresentativeFov {
                                          const geo::LocalFrame& frame);
 
 /// True when the camera described by (fov, cam) can see the point `target`
-/// (range and angular tests on the great-circle-free planar model).
+/// (geo::SightTest: range and cone tests in the frame centred on `target`).
 [[nodiscard]] bool covers_point(const FoV& fov, const CameraIntrinsics& cam,
                                 const geo::LatLng& target);
 

@@ -48,13 +48,6 @@ LocalFrame::LocalFrame(const LatLng& origin) noexcept
       m_per_deg_lat_(metres_per_degree_lat()),
       m_per_deg_lng_(metres_per_degree_lng(origin.lat)) {}
 
-Vec2 LocalFrame::to_local(const LatLng& p) const noexcept {
-  double dlng = p.lng - origin_.lng;
-  if (dlng > 180.0) dlng -= 360.0;
-  if (dlng < -180.0) dlng += 360.0;
-  return {dlng * m_per_deg_lng_, (p.lat - origin_.lat) * m_per_deg_lat_};
-}
-
 LatLng LocalFrame::to_global(const Vec2& v) const noexcept {
   LatLng out;
   out.lat = origin_.lat + v.y / m_per_deg_lat_;

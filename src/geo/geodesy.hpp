@@ -54,7 +54,12 @@ class LocalFrame {
   explicit LocalFrame(const LatLng& origin) noexcept;
 
   [[nodiscard]] const LatLng& origin() const noexcept { return origin_; }
-  [[nodiscard]] Vec2 to_local(const LatLng& p) const noexcept;
+  [[nodiscard]] Vec2 to_local(const LatLng& p) const noexcept {
+    double dlng = p.lng - origin_.lng;
+    if (dlng > 180.0) dlng -= 360.0;
+    if (dlng < -180.0) dlng += 360.0;
+    return {dlng * m_per_deg_lng_, (p.lat - origin_.lat) * m_per_deg_lat_};
+  }
   [[nodiscard]] LatLng to_global(const Vec2& v) const noexcept;
 
  private:

@@ -10,11 +10,10 @@ namespace svg::geo {
 
 bool Sector::covers(const Vec2& p) const noexcept {
   const Vec2 d = p - apex;
-  const double dist2 = d.norm2();
-  if (dist2 > radius_m * radius_m) return false;
-  if (dist2 == 0.0) return true;  // the apex itself is visible
-  const double bearing = azimuth_of_direction(d.x, d.y);
-  return angular_difference_deg(bearing, azimuth_deg) <= half_angle_deg;
+  const Vec2 dir = axis();
+  return sight(d.x, d.y, dir.x, dir.y, radius_m * radius_m,
+               cone_cos(half_angle_deg))
+      .seen;
 }
 
 double Sector::area() const noexcept {

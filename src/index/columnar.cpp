@@ -1,7 +1,5 @@
 #include "index/columnar.hpp"
 
-#include <cmath>
-
 #include "geo/angle.hpp"
 
 namespace svg::index {
@@ -65,43 +63,6 @@ std::size_t scan_range(const FovColumns& cols, std::uint32_t begin,
     const bool hit = (lng[i] >= range.lng_min) & (lng[i] <= range.lng_max) &
                      (lat[i] >= range.lat_min) & (lat[i] <= range.lat_max) &
                      (te[i] >= range.t_start) & (ts[i] <= range.t_end);
-    dst[w] = i;
-    w += static_cast<std::size_t>(hit);
-  }
-  const std::size_t appended = w - (out.size() - (end - begin));
-  out.resize(w);
-  return appended;
-}
-
-std::size_t scan_candidates(const FovColumns& cols, std::uint32_t begin,
-                            std::uint32_t end, const CandidateFilter& f,
-                            std::vector<std::uint32_t>& out) {
-  const double* __restrict lng = cols.lng.data();
-  const double* __restrict lat = cols.lat.data();
-  const double* __restrict de = cols.dir_east.data();
-  const double* __restrict dn = cols.dir_north.data();
-  const core::TimestampMs* __restrict ts = cols.ts.data();
-  const core::TimestampMs* __restrict te = cols.te.data();
-
-  const double r2 = f.radius_m * f.radius_m;
-  std::size_t w = out.size();
-  out.resize(w + (end - begin));
-  std::uint32_t* __restrict dst = out.data();
-  for (std::uint32_t i = begin; i < end; ++i) {
-    bool hit = (lng[i] >= f.range.lng_min) & (lng[i] <= f.range.lng_max) &
-               (lat[i] >= f.range.lat_min) & (lat[i] <= f.range.lat_max) &
-               (te[i] >= f.range.t_start) & (ts[i] <= f.range.t_end);
-    // Camera-to-centre displacement in metres (east, north), same planar
-    // model as geo::displacement_m.
-    const double e = (f.center_lng - lng[i]) * f.m_per_deg_lng;
-    const double n = (f.center_lat - lat[i]) * f.m_per_deg_lat;
-    const double d2 = e * e + n * n;
-    const double dot = e * de[i] + n * dn[i];
-    // Radius-of-view cut, then the sector test as a dot product:
-    // cos(bearing − θ) = dot/|disp| ≥ cos_limit. d2 == 0 (camera on the
-    // centre) accepts unconditionally, as passes_orientation does.
-    hit = hit & (d2 <= r2) &
-          ((d2 == 0.0) | (dot >= std::sqrt(d2) * f.cos_limit));
     dst[w] = i;
     w += static_cast<std::size_t>(hit);
   }

@@ -1,13 +1,13 @@
 #pragma once
 // Structure-of-arrays storage for representative FoVs plus the tight
-// branch-minimal scan kernels that run over it. Immutable sealed runs
+// branch-minimal range-scan kernel that runs over it. Immutable sealed runs
 // (tiered_fov_index.hpp) lay their rows out in STR leaf order inside these
-// columns, so the candidate filter — the spatio-temporal range test, and
-// the orientation/coverage test the retrieval stage layers on top — reads
-// contiguous doubles instead of pointer-chasing AoS R-tree entries.
+// columns, so the range test — and the orientation test on the rows it
+// returns (sight_at) — read contiguous doubles instead of pointer-chasing
+// AoS R-tree entries.
 //
-// The kernels accumulate their per-row predicate with bitwise & (no early
-// exits) and append hits with a branch-free "store then advance by hit"
+// scan_range accumulates its per-row predicate with bitwise & (no early
+// exits) and appends hits with a branch-free "store then advance by hit"
 // idiom, which is what lets the compiler keep the loop free of
 // unpredictable branches and vectorize the comparisons
 // (bench_micro_kernels gates the resulting throughput against the scalar
@@ -28,8 +28,8 @@ struct FovColumns {
   std::vector<double> lng;
   std::vector<double> lat;
   std::vector<double> theta;
-  /// Unit heading vector (east, north) of θ, materialized once at insert so
-  /// the fused orientation kernel is pure arithmetic — no per-row sin/cos.
+  /// Unit heading (east, north) of θ — geo::direction_of_azimuth — stored
+  /// at insert so the orientation test needs no per-row sin/cos.
   std::vector<double> dir_east;
   std::vector<double> dir_north;
   std::vector<core::TimestampMs> ts;
@@ -55,6 +55,13 @@ struct FovColumns {
     r.t_end = te[i];
     return r;
   }
+
+  /// The orientation test for row i's camera, off the position and heading
+  /// columns; bit-identical to test.of(rep_at(i).fov.p, theta[i]).
+  [[nodiscard]] geo::Sight sight_at(std::size_t i,
+                                    const geo::SightTest& test) const {
+    return test.of({lat[i], lng[i]}, dir_east[i], dir_north[i]);
+  }
 };
 
 /// Append to `out` the row ids in [begin, end) whose position lies inside
@@ -64,31 +71,5 @@ struct FovColumns {
 std::size_t scan_range(const FovColumns& cols, std::uint32_t begin,
                        std::uint32_t end, const GeoTimeRange& range,
                        std::vector<std::uint32_t>& out);
-
-/// Query-centre context for the fused candidate filter: the range test
-/// plus the retrieval engine's orientation stage (radius-of-view cut and
-/// sector-coverage test) in one pass over the columns.
-struct CandidateFilter {
-  GeoTimeRange range;
-  double center_lng = 0.0;
-  double center_lat = 0.0;
-  /// Planar scale factors at the query latitude (geo::metres_per_degree_*),
-  /// so distances match geo::displacement_m at city scale.
-  double m_per_deg_lng = 0.0;
-  double m_per_deg_lat = 0.0;
-  double radius_m = 0.0;  ///< camera radius of view R
-  /// cos(half viewing angle + slack), the sector test as a dot product:
-  /// accept when dot(disp, dir(θ)) >= |disp| * cos_limit — equivalent to
-  /// angular_difference(bearing, θ) <= limit without any atan2 in the loop.
-  double cos_limit = -1.0;
-};
-
-/// Append to `out` the row ids in [begin, end) passing the fused range +
-/// orientation filter. A row at distance 0 (camera exactly on the centre)
-/// is accepted regardless of heading, mirroring
-/// RetrievalEngine::passes_orientation. Returns the number appended.
-std::size_t scan_candidates(const FovColumns& cols, std::uint32_t begin,
-                            std::uint32_t end, const CandidateFilter& f,
-                            std::vector<std::uint32_t>& out);
 
 }  // namespace svg::index

@@ -4,7 +4,7 @@
 // reaches `memtable_capacity` rows it seals into an immutable ColumnarRun —
 // rows re-ordered by the RTree STR packer, stored as structure-of-arrays
 // columns (columnar.hpp), indexed by a bulk-loaded R-tree over row *blocks*
-// so the leaf-level candidate filter is a tight branch-minimal scan over
+// so the leaf-level range filter is a tight branch-minimal scan over
 // contiguous columns instead of a pointer-chasing node walk. A background
 // compactor (Checkpointer cadence) merges small runs into larger ones and
 // garbage-collects tombstones.
@@ -22,7 +22,9 @@
 //
 // CloudServer's only index. Satisfies the index concept RetrievalEngine
 // templates over: insert / insert_batch / erase / size / snapshot /
-// query(GeoTimeRange, visitor). Feeds the svg_index_* family plus
+// query(GeoTimeRange, visitor), plus query(GeoTimeRange, SightTest,
+// visitor), which runs the engine's orientation test on the columns so
+// only surviving rows materialize. Feeds the svg_index_* family plus
 // svg_index_run_* (seal/run lifecycle) and svg_index_compaction_*.
 //
 // Concurrency: one shared_mutex guards the mutable state (memtable, run
@@ -167,41 +169,23 @@ class TieredFovIndex {
   /// columnar scan_range. The visitor inlines; no type erasure.
   template <typename F>
   void query(const GeoTimeRange& range, F&& visit) const {
-    auto& m = obs::index_metrics();
-    auto& rm = obs::index_run_metrics();
-    obs::Span span = obs::tracer().span("index.query");
-    obs::ScopedTimer timer(m.query_ns, span.trace_id());
-    m.queries.inc();
-    std::vector<std::uint32_t>& rows = scratch();
+    (void)walk(range, [&](const FovColumns& cols, std::uint32_t r) {
+      visit(cols.rep_at(r));
+    });
+  }
 
-    std::shared_lock lock(mutex_);
-    span.tag("runs", runs_.size());
-    const auto emit = [&](const FovColumns& cols) {
-      for (const std::uint32_t r : rows) {
-        if (alive_[cols.handle[r]] == 0) continue;
-        visit(cols.rep_at(r));
-      }
-    };
-    rows.clear();
-    scan_range(memtable_, 0, static_cast<std::uint32_t>(memtable_.size()),
-               range, rows);
-    emit(memtable_);
-    for (const auto& sealed : sealing_) {
-      rows.clear();
-      scan_range(*sealed, 0, static_cast<std::uint32_t>(sealed->size()),
-                 range, rows);
-      emit(*sealed);
-    }
-    for (const auto& run : runs_) {
-      if (run->ts_max() < range.t_start || run->ts_min() > range.t_end) {
-        rm.time_pruned.inc();
-        continue;
-      }
-      rm.scans.inc();
-      rows.clear();
-      run->collect(range, rows);
-      emit(run->cols());
-    }
+  /// The same walk narrowed to the cameras that see `test`'s target: the
+  /// orientation test (geo::sight) runs on the position and heading
+  /// columns of each live in-range row, and only survivors materialize —
+  /// visit(rep, distance_m). Returns the number of live in-range rows (the
+  /// retrieval funnel's `candidates`).
+  template <typename F>
+  std::size_t query(const GeoTimeRange& range, const geo::SightTest& test,
+                    F&& visit) const {
+    return walk(range, [&](const FovColumns& cols, std::uint32_t r) {
+      const geo::Sight s = cols.sight_at(r, test);
+      if (s.seen) visit(cols.rep_at(r), s.distance_m);
+    });
   }
 
   void query(const GeoTimeRange& range, const FovIndex::Visitor& visit) const {
@@ -239,6 +223,50 @@ class TieredFovIndex {
   [[nodiscard]] static std::vector<std::uint32_t>& scratch() {
     static thread_local std::vector<std::uint32_t> buf;
     return buf;
+  }
+
+  /// The one row walk behind both queries: hands emit(cols, row) every
+  /// live row intersecting the range, tier by tier, under the shared lock,
+  /// inside the `index.query` span and timer. Returns the rows emitted.
+  template <typename Emit>
+  std::size_t walk(const GeoTimeRange& range, Emit&& emit) const {
+    auto& m = obs::index_metrics();
+    auto& rm = obs::index_run_metrics();
+    obs::Span span = obs::tracer().span("index.query");
+    obs::ScopedTimer timer(m.query_ns, span.trace_id());
+    m.queries.inc();
+    std::vector<std::uint32_t>& rows = scratch();
+    std::size_t live = 0;
+
+    std::shared_lock lock(mutex_);
+    span.tag("runs", runs_.size());
+    const auto emit_live = [&](const FovColumns& cols) {
+      for (const std::uint32_t r : rows) {
+        if (alive_[cols.handle[r]] == 0) continue;
+        ++live;
+        emit(cols, r);
+      }
+    };
+    // The memtable and in-flight sealed buffers: a linear scan each.
+    const auto scan_all = [&](const FovColumns& cols) {
+      rows.clear();
+      scan_range(cols, 0, static_cast<std::uint32_t>(cols.size()), range,
+                 rows);
+      emit_live(cols);
+    };
+    scan_all(memtable_);
+    for (const auto& sealed : sealing_) scan_all(*sealed);
+    for (const auto& run : runs_) {
+      if (run->ts_max() < range.t_start || run->ts_min() > range.t_end) {
+        rm.time_pruned.inc();
+        continue;
+      }
+      rm.scans.inc();
+      rows.clear();
+      run->collect(range, rows);
+      emit_live(run->cols());
+    }
+    return live;
   }
 
   /// Append under an already-held exclusive lock; returns the new handle.

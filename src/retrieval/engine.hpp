@@ -3,23 +3,23 @@
 // (TieredFovIndex, FovIndex, LinearIndex — anything exposing
 // `query(GeoTimeRange, visitor)`):
 //
-//   1. expand the query circle into a search rectangle (query.hpp) — by
-//      default losslessly, so any camera whose radius of view can reach the
-//      circle is a candidate;
-//   2. range-search the index;
-//   3. orientation filter: drop FoVs whose viewing sector does not cover
+//   1. widen the query circle by the radius of view R into the search
+//      rectangle (query.hpp), so any camera that can see the circle is a
+//      candidate;
+//   2. range-search the index and run the orientation test (geo::sight)
+//      on each row it finds: drop FoVs whose viewing sector does not cover
 //      the query centre ("inquirers never want to know where the cameras
 //      are — only whether a segment covers the range");
-//   4. rank survivors by camera-to-centre distance (closer ⇒ less likely
+//   3. rank survivors by camera-to-centre distance (closer ⇒ less likely
 //      occluded) and return the top N.
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
+#include <limits>
 
 #include <array>
 
-#include "geo/angle.hpp"
+#include "geo/sector.hpp"
 #include "obs/families.hpp"
 #include "obs/timer.hpp"
 #include "obs/trace.hpp"
@@ -36,30 +36,37 @@ struct RetrievalConfig {
   /// Disable to measure how much the direction filter contributes
   /// (ablation).
   bool orientation_filter = true;
-  /// A camera may see the query *area* without covering its centre; the
-  /// coverage test targets the centre but accepts anything within
-  /// `coverage_slack_m` of it (defaults to the query radius at search
-  /// time).
   std::size_t top_n = 10;
-  /// Spatial search-box expansion; <= 0 means lossless (1 + R/r̂).
-  double box_expansion = 0.0;
+
+  /// The orientation test toward `target`: within R and α + slack of the
+  /// camera's heading. With the filter off, any distance and heading: the
+  /// ablation is an input value of the one test, not a second code path.
+  [[nodiscard]] geo::SightTest sight_test(
+      const geo::LatLng& target) const noexcept {
+    return orientation_filter
+               ? geo::SightTest(target, camera.radius_m,
+                                camera.half_angle_deg + orientation_slack_deg)
+               : geo::SightTest(target,
+                                std::numeric_limits<double>::infinity(), 180.0);
+  }
 };
 
 /// Statistics from one search — the cost metrics Fig. 6(c) reports, plus
 /// per-stage wall-clock so a single trace explains where a slow query went.
 ///
 /// Funnel counters:
-///   candidates   → FoVs the spatio-temporal range search emitted
-///   after_filter → survivors of the orientation filter (step 3)
+///   candidates   → live FoVs inside the search rectangle
+///   after_filter → those whose camera sees the query centre (the
+///                  orientation test)
 ///   returned     → final top-N
 ///
 /// Stage timings are a thin view over the same obs::SpanRecord entries the
 /// tracer stores (the engine fills both from one set of clock reads, so a
 /// SearchTrace and a stored trace of the same search always agree):
-///   range_search_ns() → index range query, candidate collection included
-///   filter_ns()       → orientation test + camera-to-centre distance +
-///                       bounded-heap push (survivors stream straight into
-///                       the top-N selector)
+///   range_search_ns() → the index scan, including the orientation test on
+///                       the in-range rows (on column data for the tiered
+///                       index) and the ranking distance it yields
+///   filter_ns()       → survivors into the bounded top-N heap
 ///   rank_ns()         → heap extraction into the sorted top-N
 ///   total_ns()        → the whole pipeline (≥ the sum of the stages)
 /// All 0 when the search ran untraced.
@@ -114,41 +121,40 @@ class RetrievalEngine {
         metrics_ != nullptr || trace != nullptr || pipeline_span.active();
     const std::uint64_t t0 = timed ? obs::now_ns() : 0;
 
-    const double expansion = config_.box_expansion > 0.0
-                                 ? config_.box_expansion
-                                 : lossless_expansion(q, config_.camera);
-    const index::GeoTimeRange range = make_search_range(q, expansion);
+    const index::GeoTimeRange range = search_range(q, config_.camera);
+    const geo::SightTest sight = config_.sight_test(q.center);
 
-    // Stage 1 — range search: collect every FoV in the expanded rectangle.
-    // The buffer is per-thread and reused across searches, so steady-state
-    // queries allocate nothing here (the visitor inlines through the
-    // index's template query() — no std::function on the hot path).
-    std::vector<core::RepresentativeFov>& candidates = scratch();
-    candidates.clear();
-    index_->query(range, [&](const core::RepresentativeFov& rep) {
-      candidates.push_back(rep);
-    });
+    // Stage 1 — range search plus the orientation test: the FoVs in the
+    // rectangle whose camera sees the query centre, with their ranking
+    // distance, into a per-thread buffer reused across searches (no
+    // allocation in steady state; the visitors inline, no std::function).
+    std::vector<RankedResult>& seen = scratch();
+    seen.clear();
+    const double relevance_scale = std::max(1.0, q.radius_m);
+    const auto keep = [&](const core::RepresentativeFov& rep,
+                          double distance_m) {
+      seen.push_back(
+          {rep, distance_m, 1.0 / (1.0 + distance_m / relevance_scale)});
+    };
+    // The tiered index runs the test on its columns and counts the live
+    // in-range rows; any other index gets it here, per visited row.
+    std::size_t candidates = 0;
+    if constexpr (requires { index_->query(range, sight, keep); }) {
+      candidates = index_->query(range, sight, keep);
+    } else {
+      index_->query(range, [&](const core::RepresentativeFov& rep) {
+        ++candidates;
+        const geo::Sight s = sight.of(rep.fov.p, rep.fov.theta_deg);
+        if (s.seen) keep(rep, s.distance_m);
+      });
+    }
     const std::uint64_t t1 = timed ? obs::now_ns() : 0;
 
-    // Stage 2 — orientation filter: keep FoVs whose viewing sector covers
-    // the query centre; compute the ranking distance as a by-product.
-    // Survivors stream straight into a bounded top-N heap, so memory and
+    // Stage 2 — survivors stream into a bounded top-N heap, so memory and
     // rank cost are O(top_n) regardless of how many candidates survive.
     BoundedTopN top(config_.top_n);
-    std::size_t kept = 0;
-    for (const core::RepresentativeFov& rep : candidates) {
-      const geo::Vec2 disp = geo::displacement_m(rep.fov.p, q.center);
-      const double dist = disp.norm();
-      if (config_.orientation_filter && !passes_orientation(rep, disp, dist)) {
-        continue;
-      }
-      RankedResult r;
-      r.rep = rep;
-      r.distance_m = dist;
-      r.relevance = 1.0 / (1.0 + dist / std::max(1.0, q.radius_m));
-      ++kept;
-      top.push(std::move(r));
-    }
+    const std::size_t kept = seen.size();
+    for (RankedResult& r : seen) top.push(std::move(r));
     const std::uint64_t t2 = timed ? obs::now_ns() : 0;
 
     // Stage 3 — extract the heap, best first (deterministic distance
@@ -159,7 +165,7 @@ class RetrievalEngine {
 
     if (metrics_ != nullptr) {
       metrics_->searches.inc();
-      metrics_->candidates.inc(candidates.size());
+      metrics_->candidates.inc(candidates);
       metrics_->after_filter.inc(kept);
       metrics_->returned.inc(hits.size());
       metrics_->range_search_ns.observe(t1 - t0);
@@ -175,7 +181,7 @@ class RetrievalEngine {
     stages[2] = {.start_ns = t2, .end_ns = t3, .name = "retrieval.rank"};
     stages[3] = {.start_ns = t0, .end_ns = t3, .name = "retrieval.search"};
     stages[0].tag_count = 1;
-    stages[0].tags[0] = {"candidates", candidates.size()};
+    stages[0].tags[0] = {"candidates", candidates};
     stages[1].tag_count = 1;
     stages[1].tags[0] = {"after_filter", kept};
     stages[2].tag_count = 1;
@@ -187,7 +193,7 @@ class RetrievalEngine {
       obs::tracer().emit(stages[0]);
       obs::tracer().emit(stages[1]);
       obs::tracer().emit(stages[2]);
-      pipeline_span.tag("candidates", candidates.size());
+      pipeline_span.tag("candidates", candidates);
       pipeline_span.tag("after_filter", kept);
       pipeline_span.tag("returned", hits.size());
       stages[3].trace_id = pipeline_span.trace_id();
@@ -195,7 +201,7 @@ class RetrievalEngine {
       pipeline_span.end();
     }
     if (trace != nullptr) {
-      trace->candidates = candidates.size();
+      trace->candidates = candidates;
       trace->after_filter = kept;
       trace->returned = hits.size();
       trace->spans = stages;
@@ -204,25 +210,12 @@ class RetrievalEngine {
   }
 
  private:
-  /// Per-thread candidate buffer for stage 1, reused across searches (and
+  /// Per-thread survivor buffer for stage 1, reused across searches (and
   /// across engine instances on the same thread — search() never
   /// re-enters itself, so sharing is safe).
-  [[nodiscard]] static std::vector<core::RepresentativeFov>& scratch() {
-    static thread_local std::vector<core::RepresentativeFov> buf;
+  [[nodiscard]] static std::vector<RankedResult>& scratch() {
+    static thread_local std::vector<RankedResult> buf;
     return buf;
-  }
-
-  /// Section V-B step 3: keep the FoV only when its camera can actually see
-  /// the query centre — within radius of view AND within the viewing cone
-  /// (plus slack).
-  [[nodiscard]] bool passes_orientation(const core::RepresentativeFov& rep,
-                                        const geo::Vec2& disp,
-                                        double dist) const noexcept {
-    if (dist > config_.camera.radius_m) return false;
-    if (dist == 0.0) return true;
-    const double bearing = geo::azimuth_of_direction(disp.x, disp.y);
-    return geo::angular_difference_deg(bearing, rep.fov.theta_deg) <=
-           config_.camera.half_angle_deg + config_.orientation_slack_deg;
   }
 
   const Index* index_;

@@ -6,8 +6,8 @@
 
 namespace svg::retrieval {
 
-index::GeoTimeRange make_search_range(const Query& q, double expansion) {
-  const double half_m = std::max(0.0, q.radius_m * expansion);
+index::GeoTimeRange make_search_range(const Query& q) {
+  const double half_m = std::max(0.0, q.radius_m);
   const double dlat = half_m / geo::metres_per_degree_lat();
   const double dlng = half_m / geo::metres_per_degree_lng(q.center.lat);
   index::GeoTimeRange range;
@@ -20,9 +20,11 @@ index::GeoTimeRange make_search_range(const Query& q, double expansion) {
   return range;
 }
 
-double lossless_expansion(const Query& q, const core::CameraIntrinsics& cam) {
-  if (q.radius_m <= 0.0) return 1.0;
-  return 1.0 + cam.radius_m / q.radius_m;
+index::GeoTimeRange search_range(const Query& q,
+                                 const core::CameraIntrinsics& camera) {
+  Query reach = q;
+  reach.radius_m = std::max(0.0, q.radius_m) + camera.radius_m;
+  return make_search_range(reach);
 }
 
 }  // namespace svg::retrieval

@@ -1,8 +1,9 @@
 #pragma once
 // Query types for rank-based retrieval (Section V-B). An inquirer asks
 // Q = (ts, te, p̂, r̂): all video segments that cover the circle of radius r̂
-// around p̂ at some moment in [ts, te]. The server converts r̂ to longitude/
-// latitude scales at p̂ and searches the R-tree with the resulting box.
+// around p̂ at some moment in [ts, te]. The server widens r̂ by the radius of
+// view R, converts it to longitude/latitude scales at p̂ and searches the
+// index with the resulting box (search_range).
 
 #include <vector>
 
@@ -28,19 +29,15 @@ struct RankedResult {
   double relevance = 0.0;
 };
 
-/// Build the R-tree search rectangle R̂ for a query: p̂ ± r̂ converted to
-/// degrees at p̂'s latitude, and [ts, te] on the time axis. `expansion`
-/// scales the spatial half-width — the query-scale knob the paper discusses
-/// (bigger catches FoVs whose camera stands outside the circle but still
-/// sees into it; the natural choice is 1 + R/r̂ so any camera within its
-/// radius-of-view R of the circle is a candidate).
-[[nodiscard]] index::GeoTimeRange make_search_range(const Query& q,
-                                                    double expansion = 1.0);
+/// The rectangle of the query circle itself: p̂ ± r̂ (r̂ < 0 counts as 0)
+/// converted to degrees at p̂'s latitude, and [ts, te] on the time axis.
+[[nodiscard]] index::GeoTimeRange make_search_range(const Query& q);
 
-/// `expansion` that guarantees no covering camera is missed: the search box
-/// must reach every point within R (the camera's radius of view) of the
-/// query circle.
-[[nodiscard]] double lossless_expansion(const Query& q,
-                                        const core::CameraIntrinsics& cam);
+/// The search rectangle R̂ of every search (the engine's range stage and the
+/// router's partition pruning): half-width r̂ + R, so every camera within
+/// its radius of view R of the circle — of the point, when r̂ = 0 — is a
+/// candidate.
+[[nodiscard]] index::GeoTimeRange search_range(
+    const Query& q, const core::CameraIntrinsics& camera);
 
 }  // namespace svg::retrieval

@@ -1,9 +1,9 @@
 #include "retrieval/top_k.hpp"
 
 #include <algorithm>
+#include <cmath>
 
-#include "geo/angle.hpp"
-#include "geo/geodesy.hpp"
+#include "geo/sector.hpp"
 
 namespace svg::retrieval {
 
@@ -15,6 +15,10 @@ std::vector<RankedResult> search_top_k(const index::FovIndex& index,
                                        const RetrievalConfig& config) {
   std::vector<RankedResult> out;
   if (k == 0 || index.size() == 0) return out;
+  const geo::SightTest sight = config.sight_test(center);
+  // sqrt is monotone, so distance_m > reach implies d² > R²: a candidate
+  // past `reach` can never be seen (and with the filter off, reach = ∞).
+  const double reach = std::sqrt(sight.radius2);
 
   // Grow the fetch geometrically: most candidates pass the orientation
   // filter when cameras genuinely surround the spot, so 2k is usually
@@ -26,37 +30,17 @@ std::vector<RankedResult> search_top_k(const index::FovIndex& index,
         index.nearest_k(center, fetch, t_start, t_end);
     out.clear();
     for (const auto& rep : candidates) {
-      const geo::Vec2 disp = geo::displacement_m(rep.fov.p, center);
-      const double dist = disp.norm();
-      if (config.orientation_filter) {
-        if (dist > config.camera.radius_m) {
-          // Candidates are distance-ordered: nothing farther can pass.
-          break;
-        }
-        if (dist > 0.0) {
-          const double bearing =
-              geo::azimuth_of_direction(disp.x, disp.y);
-          if (geo::angular_difference_deg(bearing, rep.fov.theta_deg) >
-              config.camera.half_angle_deg + config.orientation_slack_deg) {
-            continue;
-          }
-        }
-      }
-      RankedResult r;
-      r.rep = rep;
-      r.distance_m = dist;
-      r.relevance = 1.0 / (1.0 + dist / config.camera.radius_m);
-      out.push_back(std::move(r));
+      const geo::Sight s = sight.of(rep.fov.p, rep.fov.theta_deg);
+      // Candidates are distance-ordered in the same frame (nearest_k
+      // scales degrees at the query latitude): nothing farther can pass,
+      // and no bigger fetch can either.
+      if (s.distance_m > reach) return out;
+      if (!s.seen) continue;
+      out.push_back({rep, s.distance_m,
+                     1.0 / (1.0 + s.distance_m / config.camera.radius_m)});
       if (out.size() == k) return out;
     }
-    // Exhausted the index, or the farthest candidate is already beyond
-    // the camera's radius of view (nothing farther can ever pass).
-    if (candidates.size() < fetch ||
-        (config.orientation_filter && !candidates.empty() &&
-         geo::distance_m(candidates.back().fov.p, center) >
-             config.camera.radius_m)) {
-      return out;
-    }
+    if (candidates.size() < fetch) return out;  // exhausted the index
     fetch *= 2;
   }
 }

@@ -6,11 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "cluster/cluster.hpp"
+#include "geo/geodesy.hpp"
 #include "net/server.hpp"
 #include "net/upload_queue.hpp"
 #include "net/wire.hpp"
@@ -139,6 +141,65 @@ TEST(ClusterQueryTest, QueryOutsideDeploymentContactsNoNode) {
   EXPECT_TRUE(complete);  // vacuously: no node needed answering
   EXPECT_EQ(m.queries.value(), queries_before + 1);
   EXPECT_EQ(m.fanout_nodes.value(), fanned_before);  // zero fan-out
+}
+
+// A point query (r̂ = 0) must reach a camera that sees the spot from the
+// neighbouring partition: the router prunes with the engines' search box,
+// which reaches R beyond the query circle even when the circle is a point.
+TEST(ClusterQueryTest, PointQueryReachesCameraInNeighbouringPartition) {
+  ClusterConfig cfg;  // in-memory: query path only
+  cfg.nodes = 4;
+  cfg.partition.bounds = sim::CityModel{}.bounds_deg();
+  Cluster cluster(cfg);
+  const GeoPartitioner& parts = cluster.router().partitioner();
+  const geo::Box2 b = parts.config().bounds;
+  const std::size_t side = parts.config().cells_per_side;
+  const double cell_w = (b.max[0] - b.min[0]) / static_cast<double>(side);
+  const double cell_h = (b.max[1] - b.min[1]) / static_cast<double>(side);
+
+  // The spot stands 10 m north of a cell edge; the camera 30 m south of
+  // it, facing north, across the edge in another partition.
+  std::optional<geo::LatLng> spot;
+  geo::LatLng camera;
+  for (std::size_t row = 1; row < side && !spot; ++row) {
+    for (std::size_t col = 0; col < side && !spot; ++col) {
+      const geo::LatLng edge{b.min[1] + static_cast<double>(row) * cell_h,
+                             b.min[0] + (static_cast<double>(col) + 0.5) *
+                                            cell_w};
+      const geo::LatLng s = geo::offset_m(edge, 0.0, 10.0);
+      const geo::LatLng c = geo::offset_m(s, 0.0, -30.0);
+      if (parts.partition_of(s.lng, s.lat) !=
+          parts.partition_of(c.lng, c.lat)) {
+        spot = s;
+        camera = c;
+      }
+    }
+  }
+  ASSERT_TRUE(spot.has_value());
+
+  net::UploadMessage msg;
+  msg.video_id = 77;
+  core::RepresentativeFov rep;
+  rep.video_id = msg.video_id;
+  rep.fov.p = camera;
+  rep.fov.theta_deg = 0.0;
+  rep.t_start = 1'400'000'000'000;
+  rep.t_end = rep.t_start + 10'000;
+  msg.segments.push_back(rep);
+  net::UploadQueue queue({}, 5);
+  queue.enqueue(msg);
+  ASSERT_TRUE(queue.drain(cluster.router().upload_channel()));
+
+  retrieval::Query q;
+  q.center = *spot;
+  q.radius_m = 0.0;
+  q.t_start = rep.t_start;
+  q.t_end = rep.t_end;
+  bool complete = false;
+  const auto hits = cluster.router().search(q, 10, &complete);
+  EXPECT_TRUE(complete);
+  ASSERT_EQ(hits.size(), 1u);
+  EXPECT_EQ(hits[0].rep.video_id, msg.video_id);
 }
 
 TEST(ClusterQueryTest, MergeKeepsGlobalOrderAcrossLists) {

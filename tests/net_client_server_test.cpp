@@ -84,8 +84,7 @@ TEST(CloudServerTest, IngestAndSearchInProcess) {
   CloudServer server({}, {.camera = kCam,
                           .orientation_slack_deg = 5.0,
                           .orientation_filter = true,
-                          .top_n = 10,
-                          .box_expansion = 0.0});
+                          .top_n = 10});
   const SimilarityModel model(kCam);
   MobileClient client(7, model, {0.5});
   server.ingest(capture_session(client, record_walk(0.0)));
@@ -105,8 +104,7 @@ TEST(CloudServerTest, WireProtocolEndToEnd) {
   CloudServer server({}, {.camera = kCam,
                           .orientation_slack_deg = 5.0,
                           .orientation_filter = true,
-                          .top_n = 10,
-                          .box_expansion = 0.0});
+                          .top_n = 10});
   const SimilarityModel model(kCam);
 
   // Provider uploads over the wire.
@@ -140,8 +138,7 @@ TEST(CloudServerTest, CameraFacingAwayNotReturned) {
   CloudServer server({}, {.camera = kCam,
                           .orientation_slack_deg = 5.0,
                           .orientation_filter = true,
-                          .top_n = 10,
-                          .box_expansion = 0.0});
+                          .top_n = 10});
   const SimilarityModel model(kCam);
   // Walking north but filming backwards (south) from north of the centre:
   // the query centre sits behind the camera's view for the whole walk? No —
@@ -181,8 +178,7 @@ TEST(CloudServerTest, MultipleProvidersRanked) {
   CloudServer server({}, {.camera = kCam,
                           .orientation_slack_deg = 5.0,
                           .orientation_filter = true,
-                          .top_n = 10,
-                          .box_expansion = 0.0});
+                          .top_n = 10});
   const SimilarityModel model(kCam);
   // Two static observers at different distances, both facing the centre.
   for (const auto& [vid, dist] :
