@@ -7,9 +7,9 @@
 #include <iostream>
 #include <vector>
 
-#include "core/segmentation.hpp"
 #include "cv/renderer.hpp"
 #include "cv/segmentation.hpp"
+#include "net/client.hpp"
 #include "sim/sensors.hpp"
 #include "util/stopwatch.hpp"
 #include "util/table.hpp"
@@ -36,8 +36,9 @@ int main() {
   util::Table table({"method", "resolution", "segment_time_ms",
                      "us_per_frame", "segments"});
 
-  // FoV-based segmentation (resolution-independent). Repeat to get a
-  // stable timing above clock resolution.
+  // FoV-based segmentation (resolution-independent): the phone's own path,
+  // a fresh MobileClient segmenting and abstracting the whole recording.
+  // Repeat to get a stable timing above clock resolution.
   const core::SimilarityModel model(cam);
   double fov_ms = 0.0;
   {
@@ -45,8 +46,8 @@ int main() {
     std::size_t n_segs = 0;
     util::Stopwatch sw;
     for (int r = 0; r < reps; ++r) {
-      const auto segs = core::segment_video(records, model, {0.5});
-      n_segs = segs.size();
+      net::MobileClient client(1, model, {0.5});
+      n_segs = net::capture_session(client, records).segments.size();
     }
     fov_ms = sw.elapsed_ms() / reps;
     table.add_row({"FoV", "n/a", util::Table::num(fov_ms, 4),

@@ -21,6 +21,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
@@ -35,6 +36,8 @@
 #include "index/fov_index.hpp"
 #include "net/wire.hpp"
 #include "sim/crowd.hpp"
+#include "sim/sensors.hpp"
+#include "sim/trajectory.hpp"
 #include "util/stopwatch.hpp"
 
 namespace {
@@ -54,19 +57,25 @@ void BM_FovSimilarity(benchmark::State& state) {
 BENCHMARK(BM_FovSimilarity);
 
 void BM_SegmenterPush(benchmark::State& state) {
+  // A sampled 60 s walk, as Fig. 6(a) records it: splits are as rare as on
+  // a phone, so this times the steady no-split step. Replaying the walk
+  // from its start adds one split per pass.
   const core::SimilarityModel model(kCam);
   core::StreamingAbstractionPipeline pipe(model, {0.5}, 1);
-  sim::CityModel city;
-  util::Xoshiro256 rng(1);
-  std::vector<core::FovRecord> records;
-  for (int i = 0; i < 4096; ++i) {
-    records.push_back({i * 33,
-                       {city.random_point(rng), rng.uniform(0.0, 360.0)}});
-  }
+  const sim::StraightTrajectory walk({39.9042, 116.4074}, 0.0, 1.4, 60.0);
+  util::Xoshiro256 rng(7);
+  const auto records = sim::SensorSampler({}, {30.0, 0}).sample(walk, rng);
   std::size_t i = 0;
+  std::int64_t splits = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(pipe.push(records[i++ & 4095]));
+    const auto closed = pipe.push(records[i]);
+    splits += closed.has_value();
+    benchmark::DoNotOptimize(closed);
+    if (++i == records.size()) i = 0;
   }
+  state.counters["frames_per_split"] =
+      static_cast<double>(state.iterations()) /
+      static_cast<double>(std::max<std::int64_t>(splits, 1));
 }
 BENCHMARK(BM_SegmenterPush);
 

@@ -7,7 +7,6 @@
 // ever uploads.
 
 #include <cstdint>
-#include <vector>
 
 #include "geo/geodesy.hpp"
 #include "geo/sector.hpp"
@@ -45,20 +44,6 @@ struct FoV {
 struct FovRecord {
   TimestampMs t = 0;
   FoV fov;
-};
-
-/// Output of Algorithm 1: a maximal run of mutually similar FoVs.
-struct VideoSegment {
-  std::vector<FovRecord> frames;
-
-  [[nodiscard]] bool empty() const noexcept { return frames.empty(); }
-  [[nodiscard]] std::size_t size() const noexcept { return frames.size(); }
-  [[nodiscard]] TimestampMs start_time() const noexcept {
-    return frames.empty() ? 0 : frames.front().t;
-  }
-  [[nodiscard]] TimestampMs end_time() const noexcept {
-    return frames.empty() ? 0 : frames.back().t;
-  }
 };
 
 /// What a client uploads per segment (Section IV-B): the averaged FoV plus

@@ -1,7 +1,6 @@
 #include "core/segmentation.hpp"
 
 #include <cmath>
-#include <stdexcept>
 
 #include "geo/angle.hpp"
 #include "obs/families.hpp"
@@ -15,144 +14,23 @@ bool valid_fov_record(const FovRecord& rec) noexcept {
          rec.fov.p.lng <= 180.0;
 }
 
-namespace {
-
-/// Shared sensor-dropout policy for both segmenter variants: repair an
-/// invalid reading to the last valid fix (keeping the frame's timestamp,
-/// so segment durations stay truthful) or report it unusable when no fix
-/// exists yet. Returns the frame to process, or nullopt to drop it.
-std::optional<FovRecord> repair_frame(const FovRecord& rec,
-                                      std::optional<FoV>& last_fix,
-                                      std::size_t& held,
-                                      std::size_t& dropped) {
-  auto& m = obs::segmentation_metrics();
-  if (valid_fov_record(rec)) {
-    last_fix = rec.fov;
-    return rec;
-  }
-  if (last_fix) {
-    FovRecord fixed = rec;
-    fixed.fov = *last_fix;
-    ++held;
-    m.frames_held.inc();
-    return fixed;
-  }
-  ++dropped;
-  m.frames_dropped.inc();
-  return std::nullopt;
-}
-
-}  // namespace
-
-VideoSegmenter::VideoSegmenter(const SimilarityModel& model,
-                               SegmenterConfig cfg) noexcept
-    : model_(&model), cfg_(cfg) {}
-
-std::optional<VideoSegment> VideoSegmenter::push(const FovRecord& raw) {
-  auto& m = obs::segmentation_metrics();
-  m.frames.inc();
-  ++frames_seen_;
-  const auto repaired =
-      repair_frame(raw, last_fix_, frames_held_, frames_dropped_);
-  if (!repaired) return std::nullopt;
-  const FovRecord& rec = *repaired;
-  if (current_.empty()) {
-    anchor_ = rec.fov;
-    current_.frames.push_back(rec);
-    return std::nullopt;
-  }
-  if (model_->similarity(anchor_, rec.fov) < cfg_.threshold) {
-    VideoSegment done = std::move(current_);
-    current_ = VideoSegment{};
-    anchor_ = rec.fov;
-    current_.frames.push_back(rec);
-    ++segments_completed_;
-    m.splits.inc();
-    m.segments.inc();
-    m.segment_frames.observe(done.size());
-    return done;
-  }
-  current_.frames.push_back(rec);
-  return std::nullopt;
-}
-
-std::optional<VideoSegment> VideoSegmenter::finish() {
-  if (current_.empty()) return std::nullopt;
-  VideoSegment done = std::move(current_);
-  current_ = VideoSegment{};
-  ++segments_completed_;
-  auto& m = obs::segmentation_metrics();
-  m.segments.inc();
-  m.segment_frames.observe(done.size());
-  return done;
-}
-
-std::vector<VideoSegment> segment_video(std::span<const FovRecord> frames,
-                                        const SimilarityModel& model,
-                                        SegmenterConfig cfg) {
-  std::vector<VideoSegment> out;
-  VideoSegmenter seg(model, cfg);
-  for (const auto& rec : frames) {
-    if (auto done = seg.push(rec)) out.push_back(std::move(*done));
-  }
-  if (auto done = seg.finish()) out.push_back(std::move(*done));
-  return out;
-}
-
-RepresentativeFov abstract_segment(const VideoSegment& segment,
-                                   std::uint64_t video_id,
-                                   std::uint32_t segment_id,
-                                   MeanPolicy policy) {
-  if (segment.empty()) {
-    throw std::invalid_argument("abstract_segment: empty segment");
-  }
-  RepresentativeFov rep;
-  rep.video_id = video_id;
-  rep.segment_id = segment_id;
-  rep.t_start = segment.start_time();
-  rep.t_end = segment.end_time();
-
-  double sum_lat = 0.0, sum_lng = 0.0;
-  double sum_theta = 0.0, sum_sin = 0.0, sum_cos = 0.0;
-  for (const auto& f : segment.frames) {
-    sum_lat += f.fov.p.lat;
-    sum_lng += f.fov.p.lng;
-    sum_theta += f.fov.theta_deg;
-    const double r = geo::deg_to_rad(f.fov.theta_deg);
-    sum_sin += std::sin(r);
-    sum_cos += std::cos(r);
-  }
-  const auto n = static_cast<double>(segment.size());
-  rep.fov.p.lat = sum_lat / n;
-  rep.fov.p.lng = sum_lng / n;
-  if (policy == MeanPolicy::kArithmeticPaper) {
-    rep.fov.theta_deg = geo::wrap_deg(sum_theta / n);
-  } else {
-    rep.fov.theta_deg = (sum_sin == 0.0 && sum_cos == 0.0)
-                            ? 0.0
-                            : geo::wrap_deg(geo::rad_to_deg(
-                                  std::atan2(sum_sin, sum_cos)));
-  }
-  return rep;
-}
-
 StreamingAbstractionPipeline::StreamingAbstractionPipeline(
     const SimilarityModel& model, SegmenterConfig cfg, std::uint64_t video_id,
     MeanPolicy policy) noexcept
     : model_(&model), cfg_(cfg), video_id_(video_id), policy_(policy) {}
 
-void StreamingAbstractionPipeline::reset_accumulator(const FovRecord& rec) {
+void StreamingAbstractionPipeline::reset_accumulator(
+    const FovRecord& rec, const geo::Vec2& heading) {
   open_ = true;
   anchor_ = rec.fov;
+  anchor_heading_ = heading;
   t_start_ = rec.t;
   t_end_ = rec.t;
   count_ = 1;
   sum_lat_ = rec.fov.p.lat;
   sum_lng_ = rec.fov.p.lng;
   sum_theta_ = rec.fov.theta_deg;
-  const double r = geo::deg_to_rad(rec.fov.theta_deg);
-  sum_sin_ = std::sin(r);
-  sum_cos_ = std::cos(r);
+  sum_heading_ = heading;
 }
 
 RepresentativeFov StreamingAbstractionPipeline::emit() {
@@ -164,14 +42,10 @@ RepresentativeFov StreamingAbstractionPipeline::emit() {
   const auto n = static_cast<double>(count_);
   rep.fov.p.lat = sum_lat_ / n;
   rep.fov.p.lng = sum_lng_ / n;
-  if (policy_ == MeanPolicy::kArithmeticPaper) {
-    rep.fov.theta_deg = geo::wrap_deg(sum_theta_ / n);
-  } else {
-    rep.fov.theta_deg =
-        (sum_sin_ == 0.0 && sum_cos_ == 0.0)
-            ? 0.0
-            : geo::wrap_deg(geo::rad_to_deg(std::atan2(sum_sin_, sum_cos_)));
-  }
+  rep.fov.theta_deg =
+      policy_ == MeanPolicy::kArithmeticPaper
+          ? geo::wrap_deg(sum_theta_ / n)
+          : geo::resultant_azimuth_deg(sum_heading_.x, sum_heading_.y, n);
   return rep;
 }
 
@@ -180,18 +54,32 @@ std::optional<RepresentativeFov> StreamingAbstractionPipeline::push(
   auto& m = obs::segmentation_metrics();
   m.frames.inc();
   ++frames_seen_;
-  const auto repaired =
-      repair_frame(raw, last_fix_, frames_held_, frames_dropped_);
-  if (!repaired) return std::nullopt;
-  const FovRecord& rec = *repaired;
-  if (!open_) {
-    reset_accumulator(rec);
+  // Sensor dropout: repair an invalid reading to the last valid fix
+  // (keeping the frame's timestamp, so segment durations stay truthful),
+  // or drop it when no fix exists yet.
+  FovRecord rec = raw;
+  if (valid_fov_record(raw)) {
+    last_fix_ = raw.fov;
+  } else if (last_fix_) {
+    rec.fov = *last_fix_;
+    ++frames_held_;
+    m.frames_held.inc();
+  } else {
+    ++frames_dropped_;
+    m.frames_dropped.inc();
     return std::nullopt;
   }
-  if (model_->similarity(anchor_, rec.fov) < cfg_.threshold) {
+  geo::Vec2 heading;
+  geo::direction_of_azimuth(rec.fov.theta_deg, heading.x, heading.y);
+  if (!open_) {
+    reset_accumulator(rec, heading);
+    return std::nullopt;
+  }
+  if (model_->similarity(anchor_, anchor_heading_, rec.fov, heading) <
+      cfg_.threshold) {
     const std::size_t closed_frames = count_;
     RepresentativeFov rep = emit();
-    reset_accumulator(rec);
+    reset_accumulator(rec, heading);
     m.splits.inc();
     m.segments.inc();
     m.segment_frames.observe(closed_frames);
@@ -202,9 +90,7 @@ std::optional<RepresentativeFov> StreamingAbstractionPipeline::push(
   sum_lat_ += rec.fov.p.lat;
   sum_lng_ += rec.fov.p.lng;
   sum_theta_ += rec.fov.theta_deg;
-  const double r = geo::deg_to_rad(rec.fov.theta_deg);
-  sum_sin_ += std::sin(r);
-  sum_cos_ += std::cos(r);
+  sum_heading_ += heading;
   return std::nullopt;
 }
 

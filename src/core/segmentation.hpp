@@ -1,11 +1,15 @@
 #pragma once
-// Real-time video segmentation (Section IV, Algorithm 1) and segment
-// abstraction (Eq. 11).
+// Real-time video segmentation (Section IV, Algorithm 1) fused with segment
+// abstraction (Eq. 11) — the one implementation a phone runs while it
+// records.
 //
 // Algorithm 1 keeps only the anchor FoV f_s of the current segment; every
 // incoming frame is compared against it and a new segment starts the moment
 // Sim(f_s, f_i) < thresh. That makes the per-frame cost O(1) and the whole
-// pass O(n), which is what lets the client segment while recording.
+// pass O(n), which is what lets the client segment while recording. The
+// pipeline stores no frames: running sums give Eq. 11's means, and each
+// frame's unit heading, computed once, serves both the similarity test
+// against the anchor and the circular sums.
 //
 // Two abstraction policies are provided for the orientation average:
 // * ArithmeticPaper — Eq. 11 verbatim (mean of raw θ values). Faithful, but
@@ -16,12 +20,12 @@
 // the paper (fine at segment scale).
 
 #include <cstddef>
+#include <cstdint>
 #include <optional>
-#include <span>
-#include <vector>
 
 #include "core/fov.hpp"
 #include "core/similarity.hpp"
+#include "geo/vec2.hpp"
 
 namespace svg::core {
 
@@ -43,64 +47,11 @@ enum class MeanPolicy {
 /// one through poisons every running average in the segment it lands in.
 [[nodiscard]] bool valid_fov_record(const FovRecord& rec) noexcept;
 
-/// Streaming implementation of Algorithm 1. Push frames as they are
-/// captured; completed segments pop out as splits happen. Stores only the
-/// frames of the segment currently being built.
-class VideoSegmenter {
- public:
-  VideoSegmenter(const SimilarityModel& model, SegmenterConfig cfg) noexcept;
-
-  /// Feed the FoV of the next frame. Returns the just-completed segment
-  /// when this frame triggered a split, nullopt otherwise. An invalid
-  /// sensor reading (see valid_fov_record) is repaired to the last valid
-  /// fix when one exists, and dropped outright otherwise.
-  std::optional<VideoSegment> push(const FovRecord& rec);
-
-  /// Signal end of recording; returns the final segment if any frames are
-  /// pending. The segmenter is reusable afterwards.
-  std::optional<VideoSegment> finish();
-
-  [[nodiscard]] std::size_t frames_seen() const noexcept {
-    return frames_seen_;
-  }
-  [[nodiscard]] std::size_t segments_completed() const noexcept {
-    return segments_completed_;
-  }
-  [[nodiscard]] std::size_t frames_held() const noexcept {
-    return frames_held_;
-  }
-  [[nodiscard]] std::size_t frames_dropped() const noexcept {
-    return frames_dropped_;
-  }
-  [[nodiscard]] const SegmenterConfig& config() const noexcept { return cfg_; }
-
- private:
-  const SimilarityModel* model_;
-  SegmenterConfig cfg_;
-  VideoSegment current_;
-  FoV anchor_;
-  std::optional<FoV> last_fix_;  ///< newest valid FoV, for hold-last-fix
-  std::size_t frames_seen_ = 0;
-  std::size_t segments_completed_ = 0;
-  std::size_t frames_held_ = 0;
-  std::size_t frames_dropped_ = 0;
-};
-
-/// Batch convenience: run Algorithm 1 over a whole FoV sequence.
-[[nodiscard]] std::vector<VideoSegment> segment_video(
-    std::span<const FovRecord> frames, const SimilarityModel& model,
-    SegmenterConfig cfg);
-
-/// Eq. 11 — collapse a segment to its representative FoV.
-[[nodiscard]] RepresentativeFov abstract_segment(
-    const VideoSegment& segment, std::uint64_t video_id,
-    std::uint32_t segment_id, MeanPolicy policy = MeanPolicy::kCircular);
-
-/// The full client-side pipeline with O(1) memory: segmentation and
-/// abstraction fused, keeping only running sums instead of the segment's
-/// frames. This is the "real-time invocation environment" variant the
-/// paper's complexity analysis describes; it emits RepresentativeFovs
-/// directly as the user records.
+/// Algorithm 1 + Eq. 11 with O(1) memory. Push frames as they are
+/// captured; each segment's representative FoV pops out of the push() of
+/// the frame that opens the next segment, and the last one out of
+/// finish(). Segment boundaries are therefore exactly the frames whose
+/// push() returns a value.
 class StreamingAbstractionPipeline {
  public:
   StreamingAbstractionPipeline(const SimilarityModel& model,
@@ -109,12 +60,14 @@ class StreamingAbstractionPipeline {
       noexcept;
 
   /// Feed one frame; returns the representative FoV of the segment this
-  /// frame closed, if any. Invalid sensor readings are repaired to the
-  /// last valid fix (hold-last-fix) or dropped when no fix exists yet —
-  /// see valid_fov_record.
+  /// frame closed, if any (this frame then anchors the next segment).
+  /// Invalid sensor readings are repaired to the last valid fix
+  /// (hold-last-fix, keeping the frame's own timestamp) or dropped when no
+  /// fix exists yet — see valid_fov_record.
   std::optional<RepresentativeFov> push(const FovRecord& rec);
 
-  /// End of recording; emits the final segment's representative.
+  /// End of recording; emits the final segment's representative. The
+  /// pipeline is reusable afterwards; segment ids keep counting.
   std::optional<RepresentativeFov> finish();
 
   [[nodiscard]] std::size_t frames_seen() const noexcept {
@@ -132,7 +85,7 @@ class StreamingAbstractionPipeline {
 
  private:
   [[nodiscard]] RepresentativeFov emit();
-  void reset_accumulator(const FovRecord& rec);
+  void reset_accumulator(const FovRecord& rec, const geo::Vec2& heading);
 
   const SimilarityModel* model_;
   SegmenterConfig cfg_;
@@ -142,14 +95,14 @@ class StreamingAbstractionPipeline {
   // Running accumulator for the open segment.
   bool open_ = false;
   FoV anchor_;
+  geo::Vec2 anchor_heading_;  ///< direction_of_azimuth(anchor_.theta_deg)
   TimestampMs t_start_ = 0;
   TimestampMs t_end_ = 0;
   std::size_t count_ = 0;
   double sum_lat_ = 0.0;
   double sum_lng_ = 0.0;
   double sum_theta_ = 0.0;  ///< arithmetic-policy accumulator
-  double sum_sin_ = 0.0;    ///< circular-policy accumulators
-  double sum_cos_ = 0.0;
+  geo::Vec2 sum_heading_;   ///< circular-policy accumulator (Σ east, Σ north)
 
   std::optional<FoV> last_fix_;  ///< newest valid FoV, for hold-last-fix
   std::size_t frames_seen_ = 0;

@@ -1,7 +1,6 @@
 #include "core/similarity.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 
 #include "geo/angle.hpp"
@@ -15,11 +14,14 @@ SimilarityModel::SimilarityModel(CameraIntrinsics cam) noexcept
       cos_alpha_(std::cos(alpha_rad_)),
       lateral_m_(cam.lateral_extent_m()) {}
 
-double SimilarityModel::sim_rotation(double delta_theta_deg) const noexcept {
-  const double d = geo::angular_difference_deg(delta_theta_deg, 0.0);
+double SimilarityModel::rotation_folded(double delta_deg) const noexcept {
   const double full = cam_.full_angle_deg();
-  if (d >= full) return 0.0;
-  return (full - d) / full;
+  if (delta_deg >= full) return 0.0;
+  return (full - delta_deg) / full;
+}
+
+double SimilarityModel::sim_rotation(double delta_theta_deg) const noexcept {
+  return rotation_folded(geo::angular_difference_deg(delta_theta_deg, 0.0));
 }
 
 double SimilarityModel::phi_parallel_deg(double d) const noexcept {
@@ -40,41 +42,48 @@ double SimilarityModel::sim_perpendicular(double d) const noexcept {
   return sim_parallel(d) * chord_fraction;
 }
 
+double SimilarityModel::translation_folded(double d,
+                                           double rel_dir_deg) const noexcept {
+  // Fold the direction into [0, 90]: forward/backward are the axial case,
+  // left/right the lateral one (Eq. 9 is stated for θ_p ∈ [0°, 90°]).
+  const double e = rel_dir_deg > 90.0 ? 180.0 - rel_dir_deg : rel_dir_deg;
+  const double w = e / 90.0;
+  const double parallel = sim_parallel(d);
+  const double perpendicular =
+      d >= lateral_m_ ? 0.0 : parallel * (1.0 - d / lateral_m_);
+  return (1.0 - w) * parallel + w * perpendicular;
+}
+
 double SimilarityModel::sim_translation(double d,
                                         double rel_dir_deg) const noexcept {
   if (d <= 0.0) return 1.0;
-  // Fold the direction into [0, 90]: forward/backward are the axial case,
-  // left/right the lateral one (Eq. 9 is stated for θ_p ∈ [0°, 90°]).
-  double e = geo::angular_difference_deg(rel_dir_deg, 0.0);  // [0, 180]
-  if (e > 90.0) e = 180.0 - e;
-  const double w = e / 90.0;
-  return (1.0 - w) * sim_parallel(d) + w * sim_perpendicular(d);
-}
-
-double SimilarityModel::similarity_planar(double delta_p_m,
-                                          double translation_dir_deg,
-                                          double theta1_deg,
-                                          double theta2_deg) const noexcept {
-  const double delta_theta =
-      geo::angular_difference_deg(theta1_deg, theta2_deg);
-  const double sr = sim_rotation(delta_theta);
-  if (sr == 0.0) return 0.0;
-  // Reference axis for θ_p: the mean heading, so the decomposition treats
-  // f1 and f2 symmetrically.
-  const std::array<double, 2> headings{theta1_deg, theta2_deg};
-  const double axis = geo::circular_mean_deg(headings);
-  const double rel_dir =
-      geo::angular_difference_deg(translation_dir_deg, axis);
-  return sr * sim_translation(delta_p_m, rel_dir);
+  return translation_folded(d, geo::angular_difference_deg(rel_dir_deg, 0.0));
 }
 
 double SimilarityModel::similarity(const FoV& f1,
                                    const FoV& f2) const noexcept {
+  geo::Vec2 h1;
+  geo::Vec2 h2;
+  geo::direction_of_azimuth(f1.theta_deg, h1.x, h1.y);
+  geo::direction_of_azimuth(f2.theta_deg, h2.x, h2.y);
+  return similarity(f1, h1, f2, h2);
+}
+
+double SimilarityModel::similarity(const FoV& f1, const geo::Vec2& heading1,
+                                   const FoV& f2,
+                                   const geo::Vec2& heading2) const noexcept {
+  const double sr =
+      rotation_folded(geo::angular_difference_deg(f1.theta_deg, f2.theta_deg));
+  if (sr == 0.0) return 0.0;
   const geo::Vec2 disp = geo::displacement_m(f1.p, f2.p);
   const double d = disp.norm();
-  const double dir =
-      d > 0.0 ? geo::azimuth_of_direction(disp.x, disp.y) : 0.0;
-  return similarity_planar(d, dir, f1.theta_deg, f2.theta_deg);
+  if (d <= 0.0) return sr;
+  // Reference axis for θ_p: the mean heading, so the decomposition treats
+  // f1 and f2 symmetrically.
+  const double axis = geo::resultant_azimuth_deg(
+      heading1.x + heading2.x, heading1.y + heading2.y, 2.0);
+  const double bearing = geo::azimuth_of_direction(disp.x, disp.y);
+  return sr * translation_folded(d, geo::angular_difference_deg(bearing, axis));
 }
 
 double SimilarityModel::exact_overlap_similarity(const FoV& f1, const FoV& f2,

@@ -30,10 +30,20 @@
 //   translation direction θ_p (angle between the displacement vector and
 //   the viewing axis, folded into [0°, 90°]).
 //
+// The segmenter evaluates Eq. 10 once per frame against its anchor, so
+// similarity() also takes each FoV's unit heading, which the caller
+// computes once per frame. It does each step once: δθ and Sim_R (0 past
+// 2α), the displacement and its bearing, the mean axis from the sum of the
+// two headings, θ_p folded once, and one φ_∥ shared by Sim_∥ and Sim_⊥.
+// Every expression runs in the order the per-equation functions below use,
+// so it returns the same double as Sim_R(δθ) · Sim_T(d, θ_p) composed from
+// them with θ_p measured against circular_mean_deg({θ1, θ2}).
+//
 // An exact grid-sampled sector-overlap similarity is provided as a
 // reference oracle; tests validate that the closed-form model tracks it.
 
 #include "core/fov.hpp"
+#include "geo/vec2.hpp"
 
 namespace svg::core {
 
@@ -75,12 +85,13 @@ class SimilarityModel {
   /// decompose symmetrically.
   [[nodiscard]] double similarity(const FoV& f1, const FoV& f2) const noexcept;
 
-  /// Same, but with the displacement pre-resolved — the segmentation hot
-  /// path caches the planar conversion.
-  [[nodiscard]] double similarity_planar(double delta_p_m,
-                                         double translation_dir_deg,
-                                         double theta1_deg,
-                                         double theta2_deg) const noexcept;
+  /// The same, given each FoV's unit heading (east, north) =
+  /// geo::direction_of_azimuth(θ), so a caller comparing many frames to
+  /// one anchor computes each heading once. The form above computes both
+  /// headings and calls this one.
+  [[nodiscard]] double similarity(const FoV& f1, const geo::Vec2& heading1,
+                                  const FoV& f2,
+                                  const geo::Vec2& heading2) const noexcept;
 
   /// Ground-truth oracle: |scene(f1) ∩ scene(f2)| / |scene|, sampled on a
   /// grid in a local frame anchored at f1 (resolution = cells across the
@@ -89,6 +100,13 @@ class SimilarityModel {
                                                 int resolution = 256) const;
 
  private:
+  /// Sim_R for δθ already folded into [0°, 180°].
+  [[nodiscard]] double rotation_folded(double delta_deg) const noexcept;
+  /// Sim_T for d > 0 and a direction already folded into [0°, 180°]; one
+  /// φ_∥ serves both Sim_∥ and Sim_⊥.
+  [[nodiscard]] double translation_folded(double d,
+                                          double rel_dir_deg) const noexcept;
+
   CameraIntrinsics cam_;
   double alpha_rad_;      ///< α in radians
   double sin_alpha_;      ///< sin α

@@ -35,8 +35,9 @@ struct ContentSegmenterConfig {
   };
 };
 
-/// Streaming content segmenter, mirroring core::VideoSegmenter's contract:
-/// push frame indices with their pixels; completed segments pop out.
+/// Streaming content segmenter, the pixel counterpart of Algorithm 1's
+/// anchor test (core::StreamingAbstractionPipeline): push frames; a
+/// completed segment pops out of the push that splits.
 class ContentSegmenter {
  public:
   explicit ContentSegmenter(ContentSegmenterConfig cfg)

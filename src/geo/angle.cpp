@@ -44,11 +44,17 @@ double circular_mean_deg(std::span<const double> deg) noexcept {
     sx += std::sin(r);
     sy += std::cos(r);
   }
+  return resultant_azimuth_deg(sx, sy, static_cast<double>(deg.size()));
+}
+
+double resultant_azimuth_deg(double sum_east, double sum_north,
+                             double n) noexcept {
   // Fully cancelling inputs leave only floating-point dust; treat a
   // resultant shorter than ~1e-12 per sample as undefined → 0.
-  const double n = static_cast<double>(deg.size());
-  if (sx * sx + sy * sy < 1e-24 * n * n) return 0.0;
-  return wrap_deg(rad_to_deg(std::atan2(sx, sy)));
+  if (sum_east * sum_east + sum_north * sum_north < 1e-24 * n * n) {
+    return 0.0;
+  }
+  return wrap_deg(rad_to_deg(std::atan2(sum_east, sum_north)));
 }
 
 double azimuth_of_direction(double east, double north) noexcept {

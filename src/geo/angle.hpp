@@ -42,6 +42,12 @@ inline constexpr double kRadPerDeg = std::numbers::pi / 180.0;
 /// in [0, 360). Returns 0 for an empty span or fully cancelling inputs.
 [[nodiscard]] double circular_mean_deg(std::span<const double> deg) noexcept;
 
+/// The circular mean of n azimuths from the sum (sum_east, sum_north) of
+/// their unit headings (direction_of_azimuth), in [0, 360). A resultant
+/// shorter than ~1e-12 per heading is cancellation dust and yields 0.
+[[nodiscard]] double resultant_azimuth_deg(double sum_east, double sum_north,
+                                           double n) noexcept;
+
 /// Azimuth (deg, clockwise from north) of the direction vector (east, north).
 /// Returns 0 for the zero vector.
 [[nodiscard]] double azimuth_of_direction(double east, double north) noexcept;

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "geo/angle.hpp"
+#include "store/snapshot.hpp"
 #include "util/bytes.hpp"
 
 namespace svg::net {
@@ -46,7 +47,7 @@ void put_segment_records(ByteWriter& w,
 bool get_segment_records(ByteReader& r, std::uint64_t count,
                          std::uint64_t video_id,
                          std::vector<core::RepresentativeFov>& out) {
-  std::int64_t prev_lat = 0, prev_lng = 0, prev_t = 0;
+  store::RepRecordSums sums;
   for (std::uint64_t i = 0; i < count; ++i) {
     const auto seg_id = r.get_varint();
     const auto dlat = r.get_svarint();
@@ -58,14 +59,7 @@ bool get_segment_records(ByteReader& r, std::uint64_t count,
     core::RepresentativeFov rep;
     rep.video_id = video_id;
     rep.segment_id = static_cast<std::uint32_t>(*seg_id);
-    prev_lat += *dlat;
-    prev_lng += *dlng;
-    rep.fov.p.lat = dequantize_deg(prev_lat);
-    rep.fov.p.lng = dequantize_deg(prev_lng);
-    rep.fov.theta_deg = static_cast<double>(*theta) / kThetaScale;
-    prev_t += *dt;
-    rep.t_start = prev_t;
-    rep.t_end = prev_t + static_cast<std::int64_t>(*dur);
+    if (!sums.next(*dlat, *dlng, *theta, *dt, *dur, rep)) return false;
     out.push_back(rep);
   }
   return true;

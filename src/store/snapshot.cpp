@@ -47,9 +47,38 @@ void put_rep_records(util::ByteWriter& w,
   }
 }
 
+bool RepRecordSums::next(std::int64_t dlat, std::int64_t dlng,
+                         std::uint16_t theta_code, std::int64_t dt,
+                         std::uint64_t duration,
+                         core::RepresentativeFov& rep) noexcept {
+  constexpr auto kMaxLat = static_cast<std::int64_t>(90 * kDegScale);
+  constexpr auto kMaxLng = static_cast<std::int64_t>(180 * kDegScale);
+  std::int64_t lat = 0, lng = 0, t_start = 0, t_end = 0;
+  if (__builtin_add_overflow(lat_, dlat, &lat) ||
+      __builtin_add_overflow(lng_, dlng, &lng) ||
+      __builtin_add_overflow(t_start_, dt, &t_start) ||
+      __builtin_add_overflow(t_start, static_cast<std::int64_t>(duration),
+                             &t_end)) {
+    return false;
+  }
+  if (lat < -kMaxLat || lat > kMaxLat || lng < -kMaxLng || lng > kMaxLng ||
+      theta_code >= 36000) {
+    return false;
+  }
+  lat_ = lat;
+  lng_ = lng;
+  t_start_ = t_start;
+  rep.fov.p.lat = static_cast<double>(lat) / kDegScale;
+  rep.fov.p.lng = static_cast<double>(lng) / kDegScale;
+  rep.fov.theta_deg = static_cast<double>(theta_code) / kThetaScale;
+  rep.t_start = t_start;
+  rep.t_end = t_end;
+  return true;
+}
+
 bool get_rep_records(util::ByteReader& r, std::uint64_t count,
                      std::vector<core::RepresentativeFov>& out) {
-  std::int64_t prev_lat = 0, prev_lng = 0, prev_t = 0;
+  RepRecordSums sums;
   for (std::uint64_t i = 0; i < count; ++i) {
     const auto vid = r.get_varint();
     const auto sid = r.get_varint();
@@ -64,14 +93,7 @@ bool get_rep_records(util::ByteReader& r, std::uint64_t count,
     core::RepresentativeFov rep;
     rep.video_id = *vid;
     rep.segment_id = static_cast<std::uint32_t>(*sid);
-    prev_lat += *dlat;
-    prev_lng += *dlng;
-    rep.fov.p.lat = static_cast<double>(prev_lat) / kDegScale;
-    rep.fov.p.lng = static_cast<double>(prev_lng) / kDegScale;
-    rep.fov.theta_deg = static_cast<double>(*theta) / kThetaScale;
-    prev_t += *dt;
-    rep.t_start = prev_t;
-    rep.t_end = prev_t + static_cast<std::int64_t>(*dur);
+    if (!sums.next(*dlat, *dlng, *theta, *dt, *dur, rep)) return false;
     out.push_back(rep);
   }
   return true;

@@ -42,8 +42,29 @@ struct SnapshotData {
 void put_rep_records(util::ByteWriter& w,
                      std::span<const core::RepresentativeFov> reps);
 
+/// The running sums of a delta-coded record stream, shared by every reader
+/// of one (get_rep_records, net's upload body). next() adds one record's
+/// deltas and sets rep's position, θ and interval. It rejects what no
+/// encoder writes — a quantized |lat| > 90° or |lng| > 180°, a θ code
+/// ≥ 36000 — and any sum (lat, lng, t_start, t_start + duration) that
+/// would overflow int64. A negative duration (a phone clock stepping back)
+/// stays representable.
+class RepRecordSums {
+ public:
+  [[nodiscard]] bool next(std::int64_t dlat, std::int64_t dlng,
+                          std::uint16_t theta_code, std::int64_t dt,
+                          std::uint64_t duration,
+                          core::RepresentativeFov& rep) noexcept;
+
+ private:
+  std::int64_t lat_ = 0;
+  std::int64_t lng_ = 0;
+  std::int64_t t_start_ = 0;
+};
+
 /// Decode `count` records written by put_rep_records, appending to `out`.
-/// False on truncated/malformed input (out may hold a partial prefix).
+/// False on truncated/malformed input or a record RepRecordSums rejects
+/// (out may hold a partial prefix).
 [[nodiscard]] bool get_rep_records(util::ByteReader& r, std::uint64_t count,
                                    std::vector<core::RepresentativeFov>& out);
 

@@ -86,17 +86,6 @@ TEST(ViewableSceneTest, MatchesCoversPoint) {
   }
 }
 
-TEST(VideoSegmentTest, TimesFromFrames) {
-  VideoSegment s;
-  EXPECT_TRUE(s.empty());
-  EXPECT_EQ(s.start_time(), 0);
-  s.frames.push_back({500, {kOrigin, 0}});
-  s.frames.push_back({900, {kOrigin, 1}});
-  EXPECT_EQ(s.size(), 2u);
-  EXPECT_EQ(s.start_time(), 500);
-  EXPECT_EQ(s.end_time(), 900);
-}
-
 TEST(RepresentativeFovTest, Duration) {
   RepresentativeFov r;
   r.t_start = 1000;

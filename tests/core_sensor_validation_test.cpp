@@ -1,6 +1,6 @@
 // Sensor-dropout handling: invalid GPS/compass readings (NaN, out-of-range)
 // are repaired to the last valid fix or dropped, never averaged into a
-// segment. Covers both segmenter variants and the MobileClient counters.
+// segment. Covers the segmenting pipeline and the MobileClient counters.
 
 #include <gtest/gtest.h>
 
@@ -76,18 +76,20 @@ TEST(SensorValidationTest, PipelineHoldsLastFixThroughDropout) {
 
 TEST(SensorValidationTest, SegmenterRepairsInvalidFramesIdentically) {
   const SimilarityModel model({});
-  VideoSegmenter seg(model, {});
-  EXPECT_FALSE(seg.push(frame(0, 95.0, 116.4, 0.0)).has_value());  // dropped
-  (void)seg.push(frame(33, 39.9, 116.4, 0.0));
-  (void)seg.push(frame(66, kNan, 0.0, 0.0));  // held
-  EXPECT_EQ(seg.frames_dropped(), 1u);
-  EXPECT_EQ(seg.frames_held(), 1u);
-  const auto done = seg.finish();
+  StreamingAbstractionPipeline pipe(model, {}, 1);
+  EXPECT_FALSE(pipe.push(frame(0, 95.0, 116.4, 0.0)).has_value());  // dropped
+  (void)pipe.push(frame(33, 39.9, 116.4, 0.0));
+  (void)pipe.push(frame(66, kNan, 0.0, 0.0));  // held
+  EXPECT_EQ(pipe.frames_dropped(), 1u);
+  EXPECT_EQ(pipe.frames_held(), 1u);
+  const auto done = pipe.finish();
   ASSERT_TRUE(done.has_value());
-  ASSERT_EQ(done->size(), 2u);
-  for (const auto& f : done->frames) {
-    EXPECT_TRUE(valid_fov_record(f));
-  }
+  // Two frames: the valid fix and the frame repaired to it, so the mean
+  // is that fix and the interval runs from the fix to the held frame.
+  EXPECT_EQ(done->t_start, 33);
+  EXPECT_EQ(done->t_end, 66);
+  EXPECT_EQ(done->fov, frame(33, 39.9, 116.4, 0.0).fov);
+  EXPECT_TRUE(valid_fov_record({done->t_start, done->fov}));
 }
 
 TEST(SensorValidationTest, HeldFrameDoesNotForceASplit) {

@@ -10,6 +10,8 @@
 
 #include "geo/angle.hpp"
 #include "geo/geodesy.hpp"
+#include "geo/vec2.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -293,15 +295,108 @@ TEST(SimilarityOracleTest, ModelTracksOracleUnderTranslation) {
   }
 }
 
-TEST(SimilarityPlanarTest, MatchesGeodeticPath) {
-  SimilarityModel m(cam(30.0, 100.0));
-  const FoV f1 = fov_at(0, 0, 10.0);
-  const FoV f2 = fov_at(20.0, 35.0, 40.0);
+// --- the heading form of Eq. 10 ---------------------------------------------
+
+svg::geo::Vec2 heading_of(double theta_deg) {
+  svg::geo::Vec2 h;
+  svg::geo::direction_of_azimuth(theta_deg, h.x, h.y);
+  return h;
+}
+
+/// Eq. 9 composed from the public Sim_∥ and Sim_⊥, each evaluated on its
+/// own: the direction folded into [0°, 90°], then linear interpolation.
+double eq9_from_parts(const SimilarityModel& m, double d, double rel_dir) {
+  if (d <= 0.0) return 1.0;
+  double e = svg::geo::angular_difference_deg(rel_dir, 0.0);
+  if (e > 90.0) e = 180.0 - e;
+  const double w = e / 90.0;
+  return (1.0 - w) * m.sim_parallel(d) + w * m.sim_perpendicular(d);
+}
+
+/// The heading form against Eq. 10 composed from the public per-equation
+/// functions: Sim_R(δθ) · Sim_T(d, θ_p), with d and the bearing from
+/// displacement_m and θ_p against circular_mean_deg({θ1, θ2}). Both must
+/// give the same double, and so must the two-FoV form.
+void expect_matches_composition(const SimilarityModel& m, const FoV& f1,
+                                const FoV& f2) {
   const auto disp = svg::geo::displacement_m(f1.p, f2.p);
-  const double planar = m.similarity_planar(
-      disp.norm(), svg::geo::azimuth_of_direction(disp.x, disp.y),
-      f1.theta_deg, f2.theta_deg);
-  EXPECT_NEAR(planar, m.similarity(f1, f2), 1e-12);
+  const double d = disp.norm();
+  const double bearing =
+      d > 0.0 ? svg::geo::azimuth_of_direction(disp.x, disp.y) : 0.0;
+  const double thetas[] = {f1.theta_deg, f2.theta_deg};
+  const double rel_dir = svg::geo::angular_difference_deg(
+      bearing, svg::geo::circular_mean_deg(thetas));
+  ASSERT_EQ(m.sim_translation(d, rel_dir), eq9_from_parts(m, d, rel_dir))
+      << d << " " << rel_dir;
+  const double want =
+      m.sim_rotation(
+          svg::geo::angular_difference_deg(f1.theta_deg, f2.theta_deg)) *
+      m.sim_translation(d, rel_dir);
+  const double got = m.similarity(f1, heading_of(f1.theta_deg), f2,
+                                  heading_of(f2.theta_deg));
+  ASSERT_EQ(got, want) << "alpha " << m.camera().half_angle_deg << " R "
+                       << m.camera().radius_m << " theta " << f1.theta_deg
+                       << "/" << f2.theta_deg << " d " << d;
+  ASSERT_EQ(m.similarity(f1, f2), got);
+}
+
+constexpr double kAlphas[] = {10.0, 30.0, 45.0, 89.0, 90.0, 120.0, 179.0};
+constexpr double kRadii[] = {20.0, 100.0, 250.0};
+
+TEST(SimilarityHeadingsTest, MatchesPerEquationCompositionOnRandomPairs) {
+  // 21 geometries × 50 000 pairs. Half the pairs turn by less than 2α so
+  // the translation term is reached; displacements run past 2R sin α.
+  svg::util::Xoshiro256 rng(1905);
+  std::size_t pairs = 0;
+  for (const double alpha : kAlphas) {
+    for (const double radius : kRadii) {
+      const SimilarityModel m(cam(alpha, radius));
+      for (int i = 0; i < 50'000; ++i) {
+        const double theta1 = rng.uniform(0.0, 360.0);
+        const double turn = rng.bounded(2) == 0
+                                ? rng.uniform(-2.0 * alpha, 2.0 * alpha)
+                                : rng.uniform(0.0, 360.0);
+        const FoV f1 = fov_at(rng.uniform(-1000.0, 1000.0),
+                              rng.uniform(-1000.0, 1000.0), theta1);
+        const FoV f2{offset_m(f1.p, rng.uniform(-2.5, 2.5) * radius,
+                              rng.uniform(-2.5, 2.5) * radius),
+                     svg::geo::wrap_deg(theta1 + turn)};
+        expect_matches_composition(m, f1, f2);
+        ++pairs;
+      }
+    }
+  }
+  EXPECT_GE(pairs, 1'000'000u);
+}
+
+TEST(SimilarityHeadingsTest, MatchesPerEquationCompositionOnEdgeRows) {
+  for (const double alpha : kAlphas) {
+    for (const double radius : kRadii) {
+      const SimilarityModel m(cam(alpha, radius));
+      const double lateral = m.camera().lateral_extent_m();
+      for (const double theta : {0.0, 0.01, 89.5, 180.0, 270.0, 359.99}) {
+        const FoV f1 = fov_at(0.0, 0.0, theta);
+        // d = 0 (same spot) at Δθ = 0, a small turn, 2α and 180°.
+        for (const double turn : {0.0, 1.0, 2.0 * alpha, 180.0}) {
+          expect_matches_composition(
+              m, f1, fov_at(0.0, 0.0, svg::geo::wrap_deg(theta + turn)));
+        }
+        // Δθ = 0 and Δθ = 180° (cancelling headings) across distances,
+        // at 2R sin α and beyond it.
+        for (const double dist : {0.5, 0.5 * lateral, lateral,
+                                  1.5 * lateral, 3.0 * radius}) {
+          for (const double dir : {0.0, 45.0, 90.0, 180.0, 300.0}) {
+            const double e = dist * std::sin(svg::geo::deg_to_rad(dir));
+            const double n = dist * std::cos(svg::geo::deg_to_rad(dir));
+            for (const double turn : {0.0, 180.0}) {
+              expect_matches_composition(
+                  m, f1, fov_at(e, n, svg::geo::wrap_deg(theta + turn)));
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -11,8 +11,10 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <bit>
 #include <filesystem>
 #include <functional>
+#include <limits>
 #include <string>
 
 #include "cluster/wire.hpp"
@@ -520,6 +522,115 @@ std::vector<CodecRow> codec_table() {
          false});
   }
   return rows;
+}
+
+// --- record readers: what no encoder writes ----------------------------------
+
+/// One delta-coded record's fields after its ids, as an upload body and
+/// the store's records both carry them.
+struct RawRecord {
+  std::int64_t dlat = 0;
+  std::int64_t dlng = 0;
+  std::uint16_t theta = 0;
+  std::int64_t dt = 0;
+  std::uint64_t duration = 0;
+};
+
+struct CraftedRow {
+  std::string name;
+  std::vector<RawRecord> records;
+  bool decodes = false;
+};
+
+std::vector<CraftedRow> crafted_record_rows() {
+  constexpr std::int64_t kLat = 399'042'000;    // 39.9042° at 1e-7°
+  constexpr std::int64_t kLng = 1'164'074'000;  // 116.4074°
+  constexpr std::int64_t kT0 = 1'400'000'000'000;
+  constexpr auto kMax = std::numeric_limits<std::int64_t>::max();
+  constexpr auto kMin = std::numeric_limits<std::int64_t>::min();
+  const auto back = [](std::int64_t ms) {  // a negative duration
+    return static_cast<std::uint64_t>(-ms);
+  };
+  return {
+      {"in range", {{kLat, kLng, 4500, kT0, 1000}, {10, -10, 35999, 33, 0}},
+       true},
+      {"poles and antimeridian",
+       {{900'000'000, 1'800'000'000, 0, kT0, 0},
+        {-1'800'000'000, -3'600'000'000, 0, 0, 0}},
+       true},
+      {"clock stepped back", {{kLat, kLng, 0, kT0, back(1000)}}, true},
+      {"latitude 200", {{2'000'000'000, kLng, 0, kT0, 0}}, false},
+      {"latitude past -90", {{-900'000'001, kLng, 0, kT0, 0}}, false},
+      {"longitude past 180", {{kLat, 1'800'000'001, 0, kT0, 0}}, false},
+      {"theta code 36000", {{kLat, kLng, 36000, kT0, 0}}, false},
+      {"theta code 65535", {{kLat, kLng, 65535, kT0, 0}}, false},
+      {"latitude sum overflows",
+       {{kLat, kLng, 0, kT0, 0}, {kMax, 0, 0, 0, 0}, {kMax, 0, 0, 0, 0}},
+       false},
+      {"longitude sum overflows",
+       {{kLat, -1'800'000'000, 0, kT0, 0}, {0, kMin, 0, 0, 0}}, false},
+      {"start time overflows",
+       {{kLat, kLng, 0, kMax, 0}, {0, 0, 0, kMax, 0}}, false},
+      {"end time overflows", {{kLat, kLng, 0, kMax - 5, 10}}, false},
+      {"end time underflows", {{kLat, kLng, 0, kMin + 5, back(10)}}, false},
+  };
+}
+
+void put_raw(ByteWriter& w, const RawRecord& rec) {
+  w.put_svarint(rec.dlat);
+  w.put_svarint(rec.dlng);
+  w.put_u16(rec.theta);
+  w.put_svarint(rec.dt);
+  w.put_varint(rec.duration);
+}
+
+TEST(WireFuzzTest, UploadRecordsRejectWhatNoEncoderWrites) {
+  // Sealed, so only the record check can reject them.
+  for (const CraftedRow& row : crafted_record_rows()) {
+    SCOPED_TRACE(row.name);
+    ByteWriter w;
+    w.put_u8(kMsgUpload);
+    w.put_varint(1);  // upload id
+    w.put_varint(5);  // video id
+    w.put_varint(row.records.size());
+    for (std::size_t i = 0; i < row.records.size(); ++i) {
+      w.put_varint(i);  // segment id
+      put_raw(w, row.records[i]);
+    }
+    const Bytes bytes = svg::util::seal(w);
+    const auto msg = decode_upload(bytes);
+    EXPECT_EQ(msg.has_value(), row.decodes);
+    if (msg) {
+      EXPECT_EQ(encode_upload(*msg), bytes);
+    }
+  }
+}
+
+TEST(WireFuzzTest, StoreRecordsRejectWhatNoEncoderWrites) {
+  // The fan-out results message carries store::put_rep_records records,
+  // the codec snapshots and WAL records share.
+  for (const CraftedRow& row : crafted_record_rows()) {
+    SCOPED_TRACE(row.name);
+    ByteWriter w;
+    w.put_u8(cluster::kMsgFanoutResults);
+    w.put_varint(2);  // node
+    w.put_varint(row.records.size());
+    for (std::size_t i = 0; i < row.records.size(); ++i) {
+      w.put_varint(5);  // video id
+      w.put_varint(i);  // segment id
+      put_raw(w, row.records[i]);
+    }
+    for (std::size_t i = 0; i < row.records.size(); ++i) {
+      w.put_u64(std::bit_cast<std::uint64_t>(12.5));  // distance
+      w.put_u64(std::bit_cast<std::uint64_t>(0.5));   // relevance
+    }
+    const Bytes bytes = svg::util::seal(w);
+    const auto msg = cluster::decode_fanout_results(bytes);
+    EXPECT_EQ(msg.has_value(), row.decodes);
+    if (msg) {
+      EXPECT_EQ(cluster::encode_fanout_results(*msg), bytes);
+    }
+  }
 }
 
 /// `body` of the row with (tag, value) pairs appended, re-wrapped.

@@ -152,22 +152,38 @@ TEST_P(SegmentationProperties, PartitionOrderAndAnchorCoherence) {
     heading = svg::geo::wrap_deg(heading + rng.gaussian(0.0, 4.0));
     frames.push_back({i * 100, {pos, heading}});
   }
-  const auto segs = segment_video(frames, m, {threshold});
+  // Segment boundaries are the frames whose push() returns the closed
+  // segment's representative; each such frame anchors the next segment.
+  StreamingAbstractionPipeline pipe(m, {threshold}, 1);
+  std::vector<std::size_t> starts{0};
+  std::vector<RepresentativeFov> reps;
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    if (auto rep = pipe.push(frames[i])) {
+      reps.push_back(*rep);
+      starts.push_back(i);
+    }
+  }
+  if (auto rep = pipe.finish()) reps.push_back(*rep);
+  ASSERT_EQ(reps.size(), starts.size());
+  starts.push_back(frames.size());
 
   std::size_t total = 0;
-  for (std::size_t k = 0; k < segs.size(); ++k) {
-    ASSERT_FALSE(segs[k].empty());
-    total += segs[k].size();
+  for (std::size_t k = 0; k < reps.size(); ++k) {
+    const std::size_t begin = starts[k], end = starts[k + 1];
+    ASSERT_LT(begin, end);
+    total += end - begin;
+    ASSERT_EQ(reps[k].segment_id, k);
+    ASSERT_EQ(reps[k].t_start, frames[begin].t);
+    ASSERT_EQ(reps[k].t_end, frames[end - 1].t);
     // Every frame in a segment is >= threshold-similar to its anchor
     // (the first frame) — Algorithm 1's invariant.
-    const FoV anchor = segs[k].frames.front().fov;
-    for (const auto& f : segs[k].frames) {
-      ASSERT_GE(m.similarity(anchor, f.fov), threshold);
+    const FoV anchor = frames[begin].fov;
+    for (std::size_t j = begin; j < end; ++j) {
+      ASSERT_GE(m.similarity(anchor, frames[j].fov), threshold);
     }
     // The next segment's first frame broke the invariant.
-    if (k + 1 < segs.size()) {
-      ASSERT_LT(m.similarity(anchor, segs[k + 1].frames.front().fov),
-                threshold);
+    if (end < frames.size()) {
+      ASSERT_LT(m.similarity(anchor, frames[end].fov), threshold);
     }
   }
   ASSERT_EQ(total, frames.size());
