@@ -201,11 +201,11 @@ std::vector<retrieval::RankedResult> Router::search(
   m.queries.inc();
   if (complete != nullptr) *complete = true;
 
-  // Prune with the rectangle the per-node engines search, so a camera in
-  // a neighbouring cell that can see into the query circle is never
-  // skipped.
-  const index::GeoTimeRange range =
-      retrieval::search_range(q, retrieval_.camera);
+  // Prune with the box the per-node engines search: R (plus a rounding
+  // margin) around p̂ with the filter on, whatever r̂ is, so only nodes
+  // owning a cell within reach of a camera that can see p̂ are contacted,
+  // and one in a neighbouring cell is never skipped.
+  const index::GeoTimeRange range = retrieval_.search_range(q);
   const std::vector<std::size_t> parts =
       partitioner_.partitions_for_range(range);
 

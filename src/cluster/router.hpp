@@ -3,9 +3,10 @@
 // geo-cell of every segment's FoV position into per-partition sub-uploads,
 // delivers each to the partition's serving node, and aggregates the
 // sub-acks into one client-visible ack; fans queries out only to the
-// nodes whose cells intersect the search rectangle (retrieval::search_range)
-// and k-way-merges the per-node top-N lists deterministically
-// (retrieval::merge_ranked_lists with the RankedBefore tie-break).
+// nodes whose cells intersect the search box
+// (retrieval::RetrievalConfig::search_range) and k-way-merges the
+// per-node top-N lists deterministically (retrieval::merge_ranked_lists
+// with the RankedBefore tie-break).
 //
 // Sub-upload ids are a pure function of (parent upload_id, partition), so
 // a client retransmit regenerates the same ids and every node's upload_id
@@ -51,9 +52,10 @@ using NodeExchange = std::function<std::vector<std::vector<std::uint8_t>>(
 class Router {
  public:
   /// `retrieval` must match the nodes' config: the fan-out prune uses the
-  /// same search rectangle the per-node engines search, so a
-  /// camera in a neighbouring cell that sees into the query circle is
-  /// never pruned away.
+  /// same search box the per-node engines search — R around p̂ with the
+  /// orientation filter on, whatever r̂ is — so a camera in a neighbouring
+  /// cell that sees p̂ is never pruned away, and a wide r̂ contacts no
+  /// node that holds no such camera.
   Router(GeoPartitioner partitioner, retrieval::RetrievalConfig retrieval,
          RoutingTable table, NodeExchange exchange);
 

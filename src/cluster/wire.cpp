@@ -45,23 +45,26 @@ std::optional<QueryFanoutMessage> decode_query_fanout(
   ByteReader r(*body);
   const auto tag = r.get_u8();
   if (!tag || *tag != kMsgQueryFanout) return std::nullopt;
-  QueryFanoutMessage m;
   const auto epoch = r.get_varint();
   const auto t0 = r.get_svarint();
   const auto dt = r.get_svarint();
-  if (!epoch || !t0 || !dt) return std::nullopt;
-  m.epoch = *epoch;
-  m.t_start = static_cast<core::TimestampMs>(*t0);
-  m.t_end = static_cast<core::TimestampMs>(*t0 + *dt);
   const auto lat = get_double(r);
   const auto lng = get_double(r);
   const auto radius = get_double(r);
   const auto top_n = r.get_varint();
-  if (!lat || !lng || !radius || !top_n) return std::nullopt;
-  m.center = {*lat, *lng};
-  m.radius_m = *radius;
-  m.top_n = static_cast<std::uint32_t>(*top_n);
-  if (!r.exhausted()) return std::nullopt;
+  if (!epoch || !t0 || !dt || !lat || !lng || !radius || !top_n ||
+      !r.exhausted()) {
+    return std::nullopt;
+  }
+  const auto q = net::checked_query(*t0, *dt, {*lat, *lng}, *radius, *top_n);
+  if (!q) return std::nullopt;
+  QueryFanoutMessage m;
+  m.epoch = *epoch;
+  m.t_start = q->t_start;
+  m.t_end = q->t_end;
+  m.center = q->center;
+  m.radius_m = q->radius_m;
+  m.top_n = q->top_n;
   return m;
 }
 

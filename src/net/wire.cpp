@@ -1,6 +1,7 @@
 #include "net/wire.hpp"
 
 #include <cmath>
+#include <limits>
 
 #include "geo/angle.hpp"
 #include "store/snapshot.hpp"
@@ -171,16 +172,33 @@ std::optional<QueryMessage> decode_query(std::span<const std::uint8_t> bytes) {
   const auto radius = r.get_varint();
   const auto top_n = r.get_varint();
   if (type != kMsgQuery || !ts || !dur || !lat || !lng || !radius || !top_n ||
-      !r.exhausted()) {
+      !r.exhausted() ||
+      *dur > static_cast<std::uint64_t>(
+                 std::numeric_limits<std::int64_t>::max())) {
     return std::nullopt;
   }
+  return checked_query(*ts, static_cast<std::int64_t>(*dur),
+                       {dequantize_deg(*lat), dequantize_deg(*lng)},
+                       static_cast<double>(*radius), *top_n);
+}
+
+std::optional<QueryMessage> checked_query(std::int64_t t_start,
+                                          std::int64_t duration,
+                                          const geo::LatLng& center,
+                                          double radius_m,
+                                          std::uint64_t top_n) noexcept {
   QueryMessage m;
-  m.t_start = *ts;
-  m.t_end = *ts + static_cast<std::int64_t>(*dur);
-  m.center.lat = dequantize_deg(*lat);
-  m.center.lng = dequantize_deg(*lng);
-  m.radius_m = static_cast<double>(*radius);
-  m.top_n = static_cast<std::uint32_t>(*top_n);
+  // The negated range tests also reject NaN.
+  if (__builtin_add_overflow(t_start, duration, &m.t_end) ||
+      !(std::abs(center.lat) <= 90.0) || !(std::abs(center.lng) <= 180.0) ||
+      !std::isfinite(radius_m) ||
+      top_n > std::numeric_limits<std::uint32_t>::max()) {
+    return std::nullopt;
+  }
+  m.t_start = t_start;
+  m.center = center;
+  m.radius_m = radius_m;
+  m.top_n = static_cast<std::uint32_t>(top_n);
   return m;
 }
 

@@ -123,6 +123,16 @@ struct ResultsMessage {
 [[nodiscard]] std::optional<QueryMessage> decode_query(
     std::span<const std::uint8_t> bytes);
 
+/// The one check both query decoders (decode_query and the cluster's
+/// decode_query_fanout) run on the fields they read, so neither accepts
+/// what no encoder writes: nullopt when t_start + duration overflows
+/// int64, the centre is not finite or off the globe (|lat| > 90°,
+/// |lng| > 180°), the radius is not finite, or top_n does not fit in
+/// uint32_t. A negative duration or radius passes — encoders write both.
+[[nodiscard]] std::optional<QueryMessage> checked_query(
+    std::int64_t t_start, std::int64_t duration, const geo::LatLng& center,
+    double radius_m, std::uint64_t top_n) noexcept;
+
 [[nodiscard]] std::vector<std::uint8_t> encode_results(
     const ResultsMessage& m);
 [[nodiscard]] std::optional<ResultsMessage> decode_results(

@@ -3,21 +3,20 @@
 // (TieredFovIndex, FovIndex, LinearIndex — anything exposing
 // `query(GeoTimeRange, visitor)`):
 //
-//   1. widen the query circle by the radius of view R into the search
-//      rectangle (query.hpp), so any camera that can see the circle is a
-//      candidate;
+//   1. build the search box (RetrievalConfig::search_range in query.hpp):
+//      R plus a rounding margin around p̂ with the orientation filter on,
+//      so it holds exactly the cameras close enough to see p̂, whatever r̂
+//      is; r̂ + R with the filter off;
 //   2. range-search the index and run the orientation test (geo::sight)
-//      on each row it finds: drop FoVs whose viewing sector does not cover
-//      the query centre ("inquirers never want to know where the cameras
-//      are — only whether a segment covers the range");
+//      on each row it finds: drop FoVs whose camera does not see p̂ within
+//      R ("inquirers never want to know where the cameras are — only
+//      whether a segment covers the range");
 //   3. rank survivors by camera-to-centre distance (closer ⇒ less likely
 //      occluded) and return the top N.
 
 #include <algorithm>
-#include <cstdint>
-#include <limits>
-
 #include <array>
+#include <cstdint>
 
 #include "geo/sector.hpp"
 #include "obs/families.hpp"
@@ -27,29 +26,6 @@
 #include "retrieval/top_n.hpp"
 
 namespace svg::retrieval {
-
-struct RetrievalConfig {
-  core::CameraIntrinsics camera{};
-  /// Extra angular tolerance (degrees) on the sector-coverage test; absorbs
-  /// compass noise in the stored θ̄.
-  double orientation_slack_deg = 5.0;
-  /// Disable to measure how much the direction filter contributes
-  /// (ablation).
-  bool orientation_filter = true;
-  std::size_t top_n = 10;
-
-  /// The orientation test toward `target`: within R and α + slack of the
-  /// camera's heading. With the filter off, any distance and heading: the
-  /// ablation is an input value of the one test, not a second code path.
-  [[nodiscard]] geo::SightTest sight_test(
-      const geo::LatLng& target) const noexcept {
-    return orientation_filter
-               ? geo::SightTest(target, camera.radius_m,
-                                camera.half_angle_deg + orientation_slack_deg)
-               : geo::SightTest(target,
-                                std::numeric_limits<double>::infinity(), 180.0);
-  }
-};
 
 /// Statistics from one search — the cost metrics Fig. 6(c) reports, plus
 /// per-stage wall-clock so a single trace explains where a slow query went.
@@ -121,7 +97,7 @@ class RetrievalEngine {
         metrics_ != nullptr || trace != nullptr || pipeline_span.active();
     const std::uint64_t t0 = timed ? obs::now_ns() : 0;
 
-    const index::GeoTimeRange range = search_range(q, config_.camera);
+    const index::GeoTimeRange range = config_.search_range(q);
     const geo::SightTest sight = config_.sight_test(q.center);
 
     // Stage 1 — range search plus the orientation test: the FoVs in the

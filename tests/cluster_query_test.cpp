@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 #include <span>
 #include <string>
@@ -145,7 +146,7 @@ TEST(ClusterQueryTest, QueryOutsideDeploymentContactsNoNode) {
 
 // A point query (r̂ = 0) must reach a camera that sees the spot from the
 // neighbouring partition: the router prunes with the engines' search box,
-// which reaches R beyond the query circle even when the circle is a point.
+// which reaches R (plus a rounding margin) around the spot at every r̂.
 TEST(ClusterQueryTest, PointQueryReachesCameraInNeighbouringPartition) {
   ClusterConfig cfg;  // in-memory: query path only
   cfg.nodes = 4;
@@ -200,6 +201,56 @@ TEST(ClusterQueryTest, PointQueryReachesCameraInNeighbouringPartition) {
   EXPECT_TRUE(complete);
   ASSERT_EQ(hits.size(), 1u);
   EXPECT_EQ(hits[0].rep.video_id, msg.video_id);
+}
+
+// The router prunes with the engines' box, which reaches R around p̂
+// whatever r̂ is: a query centred in a cell wider than 2R contacts only
+// that cell's node even at r̂ = 2 km, and still finds a camera 90 m away
+// that faces the centre.
+TEST(ClusterQueryTest, WideQueryContactsOnlyTheNodeWithinReach) {
+  ClusterConfig cfg;  // in-memory: query path only
+  cfg.nodes = 4;
+  cfg.partition.bounds = sim::CityModel{}.bounds_deg();
+  Cluster cluster(cfg);
+  const GeoPartitioner& parts = cluster.router().partitioner();
+  const geo::Box2 b = parts.config().bounds;
+  const std::size_t side = parts.config().cells_per_side;
+  const double cell_w = (b.max[0] - b.min[0]) / static_cast<double>(side);
+  const double cell_h = (b.max[1] - b.min[1]) / static_cast<double>(side);
+  const geo::LatLng spot{b.min[1] + 7.5 * cell_h, b.min[0] + 7.5 * cell_w};
+  const geo::LatLng cell_corner{b.min[1] + 7.0 * cell_h,
+                                b.min[0] + 7.0 * cell_w};
+  const geo::Vec2 half_cell = geo::displacement_m(cell_corner, spot);
+  ASSERT_GT(std::min(half_cell.x, half_cell.y),
+            cfg.retrieval.camera.radius_m + 1.0);
+
+  net::UploadMessage msg;
+  msg.video_id = 78;
+  core::RepresentativeFov rep;
+  rep.video_id = msg.video_id;
+  rep.fov.p = geo::offset_m(spot, 0.0, -90.0);
+  rep.fov.theta_deg = 0.0;  // north, toward the spot
+  rep.t_start = 1'400'000'000'000;
+  rep.t_end = rep.t_start + 10'000;
+  msg.segments.push_back(rep);
+  net::UploadQueue queue({}, 5);
+  queue.enqueue(msg);
+  ASSERT_TRUE(queue.drain(cluster.router().upload_channel()));
+
+  auto& m = obs::cluster_metrics();
+  const std::uint64_t fanned_before = m.fanout_nodes.value();
+  retrieval::Query q;
+  q.center = spot;
+  q.radius_m = 2000.0;
+  q.t_start = rep.t_start;
+  q.t_end = rep.t_end;
+  bool complete = false;
+  const auto hits = cluster.router().search(q, 10, &complete);
+  EXPECT_TRUE(complete);
+  EXPECT_EQ(m.fanout_nodes.value(), fanned_before + 1);
+  ASSERT_EQ(hits.size(), 1u);
+  EXPECT_EQ(hits[0].rep.video_id, msg.video_id);
+  EXPECT_NEAR(hits[0].distance_m, 90.0, 0.05);
 }
 
 TEST(ClusterQueryTest, MergeKeepsGlobalOrderAcrossLists) {

@@ -82,11 +82,28 @@ TEST(TieredStressTest, ConcurrentWritersSealingMidQuery) {
     });
   }
 
+  // Each writer stops halfway through its stream until some reader has
+  // finished a scan that saw part of the stream, so a scan overlaps the
+  // writers by construction, however fast the inserts run. The wait is
+  // bounded; running out of it fails the test.
+  std::atomic<bool> overlap_timed_out{false};
+  const auto await_partial_scan = [&] {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    while (partial.load(std::memory_order_relaxed) == 0) {
+      if (std::chrono::steady_clock::now() > deadline) {
+        overlap_timed_out.store(true, std::memory_order_relaxed);
+        return;
+      }
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+  };
   std::vector<std::thread> writers;
   writers.reserve(kWriters);
   for (int w = 0; w < kWriters; ++w) {
     writers.emplace_back([&, w] {
       for (int i = 0; i < kPerWriter; ++i) {
+        if (i == kPerWriter / 2) await_partial_scan();
         idx.insert(make_rep(static_cast<std::uint64_t>(w + 1),
                             static_cast<std::uint32_t>(i)));
       }
@@ -96,6 +113,7 @@ TEST(TieredStressTest, ConcurrentWritersSealingMidQuery) {
   stop.store(true, std::memory_order_release);
   for (auto& t : readers) t.join();
 
+  EXPECT_FALSE(overlap_timed_out.load());
   EXPECT_EQ(torn.load(), 0u);
   // Some scans overlapped the writers — the check above is not vacuous.
   EXPECT_GT(partial.load(), 0u);

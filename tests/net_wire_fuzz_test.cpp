@@ -633,6 +633,146 @@ TEST(WireFuzzTest, StoreRecordsRejectWhatNoEncoderWrites) {
   }
 }
 
+// --- query readers: what no encoder writes -----------------------------------
+
+TEST(WireFuzzTest, QueryRejectsWhatNoEncoderWrites) {
+  // kMsgQuery's fields in encoder order, sealed by hand so only the
+  // field check can reject them.
+  struct Row {
+    std::string name;
+    std::int64_t t_start = 1'400'000'000'000;
+    std::uint64_t duration = 600'000;
+    std::int64_t lat = 399'042'000;  // 39.9042° at 1e-7°
+    std::int64_t lng = 1'164'074'000;
+    std::uint64_t radius = 75;
+    std::uint64_t top_n = 25;
+    bool decodes = false;
+  };
+  constexpr auto kMax = std::numeric_limits<std::int64_t>::max();
+  constexpr std::uint64_t k2to63 = std::uint64_t{1} << 63;
+  const auto row = [](std::string name, bool decodes) {
+    Row r;
+    r.name = std::move(name);
+    r.decodes = decodes;
+    return r;
+  };
+  std::vector<Row> rows;
+  rows.push_back(row("in range", true));
+  rows.push_back(row("poles and antimeridian", true));
+  rows.back().lat = -900'000'000;
+  rows.back().lng = 1'800'000'000;
+  rows.push_back(row("window ends at int64 max", true));
+  rows.back().t_start = kMax - 10;
+  rows.back().duration = 10;
+  rows.push_back(row("top_n at uint32 max", true));
+  rows.back().top_n = std::numeric_limits<std::uint32_t>::max();
+  rows.push_back(row("end time overflows", false));
+  rows.back().t_start = kMax;
+  rows.back().duration = 1;
+  rows.push_back(row("duration 2^63", false));
+  rows.back().t_start = -10;
+  rows.back().duration = k2to63;
+  rows.push_back(row("duration 2^64 - 1", false));
+  rows.back().duration = ~std::uint64_t{0};
+  rows.push_back(row("latitude 900", false));
+  rows.back().lat = 9'000'000'000;
+  rows.push_back(row("latitude past -90", false));
+  rows.back().lat = -900'000'001;
+  rows.push_back(row("longitude past 180", false));
+  rows.back().lng = 1'800'000'001;
+  rows.push_back(row("top_n 2^32", false));
+  rows.back().top_n = std::uint64_t{1} << 32;
+  for (const Row& r : rows) {
+    SCOPED_TRACE(r.name);
+    ByteWriter w;
+    w.put_u8(kMsgQuery);
+    w.put_svarint(r.t_start);
+    w.put_varint(r.duration);
+    w.put_svarint(r.lat);
+    w.put_svarint(r.lng);
+    w.put_varint(r.radius);
+    w.put_varint(r.top_n);
+    const Bytes bytes = svg::util::seal(w);
+    const auto msg = decode_query(bytes);
+    EXPECT_EQ(msg.has_value(), r.decodes);
+    if (msg) {
+      EXPECT_EQ(encode_query(*msg), bytes);
+    }
+  }
+}
+
+TEST(WireFuzzTest, QueryFanoutRejectsWhatNoEncoderWrites) {
+  // The fan-out leg's fields in encoder order: exact doubles for the
+  // centre and radius, a signed duration.
+  struct Row {
+    std::string name;
+    std::int64_t t_start = 1'400'000'000'000;
+    std::int64_t duration = 600'000;
+    double lat = 39.9042;
+    double lng = 116.4074;
+    double radius = 312.5;
+    std::uint64_t top_n = 10;
+    bool decodes = false;
+  };
+  constexpr auto kMax = std::numeric_limits<std::int64_t>::max();
+  constexpr auto kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const auto row = [](std::string name, bool decodes) {
+    Row r;
+    r.name = std::move(name);
+    r.decodes = decodes;
+    return r;
+  };
+  std::vector<Row> rows;
+  rows.push_back(row("in range", true));
+  rows.push_back(row("negative duration", true));
+  rows.back().duration = -600'000;
+  rows.push_back(row("negative radius", true));
+  rows.back().radius = -5.0;
+  rows.push_back(row("poles and antimeridian", true));
+  rows.back().lat = 90.0;
+  rows.back().lng = -180.0;
+  rows.push_back(row("end time overflows", false));
+  rows.back().t_start = kMax;
+  rows.back().duration = 1;
+  rows.push_back(row("end time underflows", false));
+  rows.back().t_start = kMin;
+  rows.back().duration = -1;
+  rows.push_back(row("NaN latitude", false));
+  rows.back().lat = nan;
+  rows.push_back(row("latitude past 90", false));
+  rows.back().lat = 90.000001;
+  rows.push_back(row("longitude 1e300", false));
+  rows.back().lng = 1e300;
+  rows.push_back(row("infinite longitude", false));
+  rows.back().lng = -kInf;
+  rows.push_back(row("infinite radius", false));
+  rows.back().radius = kInf;
+  rows.push_back(row("NaN radius", false));
+  rows.back().radius = nan;
+  rows.push_back(row("top_n 2^32", false));
+  rows.back().top_n = std::uint64_t{1} << 32;
+  for (const Row& r : rows) {
+    SCOPED_TRACE(r.name);
+    ByteWriter w;
+    w.put_u8(cluster::kMsgQueryFanout);
+    w.put_varint(3);  // epoch
+    w.put_svarint(r.t_start);
+    w.put_svarint(r.duration);
+    w.put_u64(std::bit_cast<std::uint64_t>(r.lat));
+    w.put_u64(std::bit_cast<std::uint64_t>(r.lng));
+    w.put_u64(std::bit_cast<std::uint64_t>(r.radius));
+    w.put_varint(r.top_n);
+    const Bytes bytes = svg::util::seal(w);
+    const auto msg = cluster::decode_query_fanout(bytes);
+    EXPECT_EQ(msg.has_value(), r.decodes);
+    if (msg) {
+      EXPECT_EQ(cluster::encode_query_fanout(*msg), bytes);
+    }
+  }
+}
+
 /// `body` of the row with (tag, value) pairs appended, re-wrapped.
 Bytes with_pairs(const CodecRow& row,
                  std::vector<std::pair<std::uint64_t, std::uint64_t>> pairs) {

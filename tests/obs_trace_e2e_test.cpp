@@ -64,9 +64,11 @@ UploadMessage make_upload(std::uint64_t video_id, std::size_t segments) {
   return m;
 }
 
+/// A whole-archive window centred on make_upload's cameras: every one of
+/// them stands within R = 100 m of the centre, so all are candidates.
 retrieval::Query wide_query() {
   retrieval::Query q;
-  q.center = {39.9042, 116.4074};
+  q.center = {39.9008, 116.40025};
   q.radius_m = 500.0;
   q.t_start = 0;
   q.t_end = 9'999'999'999'999;

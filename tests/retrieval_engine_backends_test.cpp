@@ -5,13 +5,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "index/fov_index.hpp"
 #include "index/grid_index.hpp"
 #include "index/kdtree_index.hpp"
+#include "geo/geodesy.hpp"
 #include "index/tiered_fov_index.hpp"
 #include "net/wire.hpp"
 #include "retrieval/engine.hpp"
@@ -106,6 +110,26 @@ bool returns(const std::vector<retrieval::RankedResult>& rs,
   return false;
 }
 
+/// Bit-for-bit equality of two ranked lists: ids, interval, fov, distance
+/// and relevance.
+void expect_same_ranking(const std::vector<retrieval::RankedResult>& got,
+                         const std::vector<retrieval::RankedResult>& want,
+                         const std::string& where) {
+  ASSERT_EQ(got.size(), want.size()) << where;
+  for (std::size_t j = 0; j < want.size(); ++j) {
+    const auto& a = got[j];
+    const auto& b = want[j];
+    const std::string at = where + ", rank " + std::to_string(j);
+    ASSERT_EQ(a.rep.video_id, b.rep.video_id) << at;
+    ASSERT_EQ(a.rep.segment_id, b.rep.segment_id) << at;
+    ASSERT_EQ(a.rep.t_start, b.rep.t_start) << at;
+    ASSERT_EQ(a.rep.t_end, b.rep.t_end) << at;
+    ASSERT_EQ(a.rep.fov, b.rep.fov) << at;
+    ASSERT_EQ(a.distance_m, b.distance_m) << at;
+    ASSERT_EQ(a.relevance, b.relevance) << at;
+  }
+}
+
 // The tiered index visits candidates memtable first, then run by run in
 // STR order, and runs the orientation test on its columns; the engine's
 // deterministic (distance, video, segment) ranking must erase the order
@@ -178,19 +202,7 @@ TEST_F(EngineBackendsTest, TieredIndexMatchesFovIndexOracle) {
         ASSERT_EQ(got_trace.candidates, want_trace.candidates) << at_query;
         ASSERT_EQ(got_trace.after_filter, want_trace.after_filter)
             << at_query;
-        ASSERT_EQ(got.size(), want.size()) << at_query;
-        for (std::size_t j = 0; j < want.size(); ++j) {
-          const auto& a = got[j];
-          const auto& b = want[j];
-          const std::string at = at_query + ", rank " + std::to_string(j);
-          ASSERT_EQ(a.rep.video_id, b.rep.video_id) << at;
-          ASSERT_EQ(a.rep.segment_id, b.rep.segment_id) << at;
-          ASSERT_EQ(a.rep.t_start, b.rep.t_start) << at;
-          ASSERT_EQ(a.rep.t_end, b.rep.t_end) << at;
-          ASSERT_EQ(a.rep.fov, b.rep.fov) << at;
-          ASSERT_EQ(a.distance_m, b.distance_m) << at;
-          ASSERT_EQ(a.relevance, b.relevance) << at;
-        }
+        ASSERT_NO_FATAL_FAILURE(expect_same_ranking(got, want, at_query));
         hits += want.size();
 
         if (i < first_spot_query) continue;
@@ -278,6 +290,199 @@ TEST_F(EngineBackendsTest, PointQueryFindsCameraFacingThePoint) {
       ASSERT_EQ(hits.size(), 1u);
       EXPECT_EQ(hits[0].rep.video_id, cam.video_id);
       EXPECT_NEAR(hits[0].distance_m, 30.0, 0.05);
+    }
+  }
+}
+
+/// The box of half-width r̂ + R (r̂ < 0 counts as 0) — the widest any
+/// search has scanned — built here, outside the code under test.
+index::GeoTimeRange wide_box(const retrieval::Query& q, double radius_m) {
+  const double half_m = std::max(0.0, q.radius_m) + radius_m;
+  const double dlat = half_m / geo::metres_per_degree_lat();
+  const double dlng = half_m / geo::metres_per_degree_lng(q.center.lat);
+  return {q.center.lng - dlng, q.center.lng + dlng, q.center.lat - dlat,
+          q.center.lat + dlat, q.t_start, q.t_end};
+}
+
+/// What a search must return when nothing is cut: walk the r̂ + R box with
+/// the config's own SightTest, keep every camera it admits, and rank them
+/// by the engine's key (RankedBefore) with the engine's relevance.
+template <typename Index>
+std::vector<retrieval::RankedResult> wide_box_reference(
+    const Index& idx, const retrieval::RetrievalConfig& cfg,
+    const retrieval::Query& q) {
+  const geo::SightTest sight = cfg.sight_test(q.center);
+  const double scale = std::max(1.0, q.radius_m);
+  std::vector<retrieval::RankedResult> out;
+  const auto keep = [&](const core::RepresentativeFov& rep, double d) {
+    out.push_back({rep, d, 1.0 / (1.0 + d / scale)});
+  };
+  const index::GeoTimeRange box = wide_box(q, cfg.camera.radius_m);
+  if constexpr (std::is_same_v<Index, index::TieredFovIndex>) {
+    (void)idx.query(box, sight, keep);
+  } else {
+    idx.query(box, [&](const core::RepresentativeFov& rep) {
+      const geo::Sight seen = sight.of(rep.fov.p, rep.fov.theta_deg);
+      if (seen.seen) keep(rep, seen.distance_m);
+    });
+  }
+  std::sort(out.begin(), out.end(), retrieval::RankedBefore{});
+  return out;
+}
+
+// With the orientation filter on, the engine searches only R (plus a
+// rounding margin) around p̂, however large r̂ is. No camera farther than R
+// sees p̂, so with top_n >= the corpus its answer must equal, bit for bit,
+// the wide-box reference's — on the FovIndex and on the tiered index in
+// all three shapes, under the default cone, slack 160° and the filter off
+// (whose box stays r̂ + R). Edge rows put cameras at R due east, west,
+// north and south of spots at latitudes 39.9° and 60°, and just past R.
+TEST_F(EngineBackendsTest, SmallBoxMatchesWideBoxReference) {
+  const double R = cfg_.camera.radius_m;
+  constexpr core::TimestampMs kEdgeT0 = 9'000'000;
+  const geo::LatLng spots[] = {{39.9, 116.4}, {60.0, 10.75}};
+  std::vector<core::RepresentativeFov> corpus = reps_;
+  std::vector<std::uint64_t> at_r;    // ids of the cameras at R
+  std::vector<std::uint64_t> past_r;  // ids of the cameras just past R
+  std::uint64_t next_id = 910'000;
+  for (const geo::LatLng& spot : spots) {
+    // (east, north) unit offset and the heading that faces the spot.
+    const struct {
+      double east, north, facing;
+    } sides[] = {{1, 0, 270}, {-1, 0, 90}, {0, 1, 180}, {0, -1, 0}};
+    for (const auto& side : sides) {
+      for (const double d : {R, R + 0.5, 0.5 * R}) {
+        for (const double turn : {0.0, 180.0}) {
+          core::RepresentativeFov r;
+          r.video_id = next_id++;
+          r.fov.p = geo::offset_m(spot, side.east * d, side.north * d);
+          r.fov.theta_deg = std::fmod(side.facing + turn, 360.0);
+          r.t_start = kEdgeT0;
+          r.t_end = kEdgeT0 + 10'000;
+          corpus.push_back(r);
+          if (d == R) at_r.push_back(r.video_id);
+          if (d > R) past_r.push_back(r.video_id);
+        }
+      }
+    }
+  }
+  index::FovIndex rtree;
+  for (const auto& r : corpus) rtree.insert(r);
+
+  std::vector<retrieval::Query> queries;
+  util::Xoshiro256 rng(12);
+  for (int i = 0; i < 40; ++i) queries.push_back(random_query(rng));
+  const std::size_t first_spot_query = queries.size();
+  for (const geo::LatLng& spot : spots) {
+    retrieval::Query q;
+    q.center = spot;
+    q.t_start = kEdgeT0;
+    q.t_end = kEdgeT0 + 10'000;
+    queries.push_back(q);
+  }
+  constexpr double kRadii[] = {0.0, 50.0, 5000.0};
+
+  retrieval::RetrievalConfig cone = cfg_;
+  cone.top_n = corpus.size();
+  retrieval::RetrievalConfig wide = cone;
+  wide.orientation_slack_deg = 160.0;
+  retrieval::RetrievalConfig unfiltered = cone;
+  unfiltered.orientation_filter = false;
+  const std::pair<std::string, retrieval::RetrievalConfig> configs[] = {
+      {"default cone", cone}, {"slack 160", wide}, {"filter off", unfiltered}};
+
+  const auto expect_reference = [&](const auto& idx,
+                                    const std::string& shape) {
+    using Index = std::decay_t<decltype(idx)>;
+    for (const auto& [name, cfg] : configs) {
+      retrieval::RetrievalEngine<Index> engine(idx, cfg, nullptr);
+      std::size_t spot_hits = 0;
+      std::size_t at_r_hits = 0;
+      for (std::size_t i = 0; i < queries.size(); ++i) {
+        std::size_t candidates_at_0 = 0;
+        for (const double radius : kRadii) {
+          retrieval::Query q = queries[i];
+          q.radius_m = radius;
+          const std::string at = shape + ", " + name + ", query " +
+                                 std::to_string(i) + ", r̂ " +
+                                 std::to_string(radius);
+          retrieval::SearchTrace trace;
+          const auto got = engine.search(q, &trace);
+          const auto want = wide_box_reference(idx, cfg, q);
+          ASSERT_NO_FATAL_FAILURE(expect_same_ranking(got, want, at));
+          // r̂ scales relevance; it never changes what the filter-on box
+          // scans.
+          if (radius == 0.0) candidates_at_0 = trace.candidates;
+          if (cfg.orientation_filter) {
+            EXPECT_EQ(trace.candidates, candidates_at_0) << at;
+            for (const std::uint64_t id : past_r) {
+              EXPECT_FALSE(returns(got, id)) << at << ", camera " << id;
+            }
+          }
+          if (i < first_spot_query) continue;
+          spot_hits += got.size();
+          for (const std::uint64_t id : at_r) at_r_hits += returns(got, id);
+        }
+      }
+      EXPECT_GT(spot_hits, 0u) << shape << ", " << name
+                               << ": the edge rows came back empty";
+      EXPECT_GT(at_r_hits, 0u) << shape << ", " << name
+                               << ": no camera at R came back";
+    }
+  };
+
+  expect_reference(rtree, "FovIndex");
+  index::TieredFovIndex memtable_only({.memtable_capacity = 2 * corpus.size()});
+  memtable_only.insert_batch(corpus);
+  ASSERT_TRUE(memtable_only.run_stats().runs.empty());
+  expect_reference(memtable_only, "memtable only");
+
+  index::TieredFovIndex tiered({.memtable_capacity = 256});
+  tiered.insert_batch(corpus);
+  ASSERT_GE(tiered.run_stats().runs.size(), 8u);
+  expect_reference(tiered, "sealed runs");
+
+  ASSERT_TRUE(tiered.seal_now());
+  while (tiered.compact_now(/*full=*/true) > 0) {
+  }
+  ASSERT_EQ(tiered.run_stats().runs.size(), 1u);
+  expect_reference(tiered, "compacted");
+}
+
+// A box of half-width exactly R can miss a camera the cone admits at
+// d = R: the box is in degrees, the test in metres on p̂'s LocalFrame, and
+// near lat 0° the conversion puts this camera one ulp outside. The box's
+// rounding margin keeps it in at every r̂, a point query's included.
+TEST_F(EngineBackendsTest, PointQueryFindsCameraTheConeAdmitsAtR) {
+  const retrieval::RetrievalConfig cfg;
+  const geo::LatLng spot{0.0011810257353630504, 19.406396909638602};
+  core::RepresentativeFov cam;
+  cam.video_id = 900'200;
+  cam.fov.p = {0.00028271087377201718, 19.406396909638602};
+  cam.fov.theta_deg = 0.0;  // north, toward the spot
+  cam.t_start = 9'000'000;
+  cam.t_end = 9'010'000;
+  const geo::Sight seen =
+      cfg.sight_test(spot).of(cam.fov.p, cam.fov.theta_deg);
+  ASSERT_TRUE(seen.seen);
+  ASSERT_NEAR(seen.distance_m, cfg.camera.radius_m, 1e-9);
+
+  index::FovIndex rtree;
+  rtree.insert(cam);
+  index::TieredFovIndex tiered;
+  tiered.insert(cam);
+  retrieval::RetrievalEngine<index::FovIndex> e_rtree(rtree, cfg);
+  retrieval::RetrievalEngine<index::TieredFovIndex> e_tiered(tiered, cfg);
+  for (const double radius : {0.0, 10.0}) {
+    retrieval::Query q;
+    q.center = spot;
+    q.radius_m = radius;
+    q.t_start = cam.t_start;
+    q.t_end = cam.t_end;
+    for (const auto& hits : {e_rtree.search(q), e_tiered.search(q)}) {
+      ASSERT_EQ(hits.size(), 1u) << "r̂ " << radius;
+      EXPECT_EQ(hits[0].rep.video_id, cam.video_id);
+      EXPECT_EQ(hits[0].distance_m, seen.distance_m);
     }
   }
 }
