@@ -1,9 +1,8 @@
-// Extended Fig. 6(c) ablation — the index backends on identical citywide
-// workloads: the paper's R-tree (dynamic and STR bulk-loaded), the naive
-// linear scan, a uniform grid (the GRVS/GeoTree family of related work), a
-// static kd-tree over (lng, lat, t_start), and the server's tiered
-// memtable+runs index (both freshly ingested — many small runs — and fully
-// compacted). Reports build time, per-query latency, and hits.
+// Extended Fig. 6(c) ablation — the kept index structures on identical
+// citywide workloads: the paper's R-tree (dynamic and STR bulk-loaded),
+// the naive linear scan, and the server's tiered memtable+runs index (both
+// freshly ingested — many small runs — and fully compacted). Reports build
+// time, per-query latency, and hits.
 //
 // Flags:
 //   --scale N   corpus multiplier over the 30k base (default 10 → 300k
@@ -26,8 +25,6 @@
 #include <vector>
 
 #include "index/fov_index.hpp"
-#include "index/grid_index.hpp"
-#include "index/kdtree_index.hpp"
 #include "index/tiered_fov_index.hpp"
 #include "sim/crowd.hpp"
 #include "util/stats.hpp"
@@ -164,17 +161,6 @@ int main(int argc, char** argv) {
     bench(linear, "linear scan", sw.elapsed_ms());
   }
   {
-    index::GridIndex grid(city.bounds_deg(), 64);
-    util::Stopwatch sw;
-    for (const auto& r : reps) grid.insert(r);
-    bench(grid, "uniform grid 64x64", sw.elapsed_ms());
-  }
-  {
-    util::Stopwatch sw;
-    const index::KdTreeIndex kd(reps);
-    bench(kd, "kd-tree (static, t_start)", sw.elapsed_ms());
-  }
-  {
     // Fresh ingest: the run list as a live server would hold it right
     // after an upload storm — many memtable-sized sealed runs, none
     // merged. This is the tiered backend's worst query-side shape.
@@ -216,9 +202,8 @@ int main(int argc, char** argv) {
                  "pairs STR packing with columnar leaf scans, so its query "
                  "tail undercuts the pointer-chasing walk of the paper's "
                  "dynamic R-tree; fresh (uncompacted) runs show the "
-                 "query-side price compaction exists to pay down. The grid "
-                 "and kd-tree stay competitive on uniform workloads but are "
-                 "static or skew-fragile (docs/PERFORMANCE.md).\n";
+                 "query-side price compaction exists to pay down "
+                 "(docs/PERFORMANCE.md).\n";
   }
 
   if (opt.gate) {

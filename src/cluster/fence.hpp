@@ -9,10 +9,11 @@
 // * Stamp checking: routers stamp the RoutingTable epoch they routed by
 //   into every upload (net/wire.hpp, kTagEpoch). A stamp older than the
 //   node's epoch is refused with kStaleEpoch carrying the node's epoch,
-//   so the sender can refresh and retry. A NEWER stamp is proof the current
-//   table routes this partition here — the node adopts the epoch and
-//   admits (this is also how a freshly promoted follower learns its new
-//   epoch from traffic before the next probe round reaches it).
+//   so the sender defers the write and retries. A NEWER stamp is proof
+//   the current table routes this partition here — the node adopts the
+//   epoch and admits (this is also how a freshly promoted follower
+//   learns its new epoch from traffic before the next probe round
+//   reaches it).
 // * Heartbeat lease: the probe loop doubles as a heartbeat/table-announce
 //   channel. A node that misses `miss_threshold` consecutive heartbeats
 //   must assume it has been demoted in an epoch it cannot see and

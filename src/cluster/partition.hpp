@@ -1,11 +1,11 @@
 #pragma once
 // Geo-cell partitioning for the multi-node cluster (docs/CLUSTER.md). A
-// fixed raster over the deployment area (the same cell math as
-// index::GridIndex) assigns every FoV position to a cell; a
-// splitmix-constant hash of the cell id assigns every cell to one of N
-// partitions. The layout is a pure function of PartitionConfig, so any
-// restart — or any other process handed the same config — computes the
-// identical assignment; nothing about the mapping is ever persisted.
+// fixed raster of cells_per_side² equal cells over the deployment area
+// assigns every FoV position to a cell (cell_of); a splitmix-constant hash
+// of the cell id assigns every cell to one of N partitions. The layout is
+// a pure function of PartitionConfig, so any restart — or any other
+// process handed the same config — computes the identical assignment;
+// nothing about the mapping is ever persisted.
 //
 // Partitions are the stable unit of ownership: the RoutingTable maps each
 // partition to the node currently *serving* it, and only that indirection
@@ -36,9 +36,11 @@ class GeoPartitioner {
  public:
   explicit GeoPartitioner(PartitionConfig cfg);
 
-  /// Raster cell for a position. Out-of-bounds positions clamp into the
-  /// border cells (exactly like GridIndex), so a camera standing just
-  /// past the deployment edge still has an owner.
+  /// Raster cell for a position: column ⌊(lng − lng_min) / cell width⌋
+  /// and row ⌊(lat − lat_min) / cell height⌋, each clamped to
+  /// [0, cells_per_side − 1], so a camera standing just past the
+  /// deployment edge lands in a border cell and still has an owner. The
+  /// id is row · cells_per_side + column.
   [[nodiscard]] std::size_t cell_of(double lng, double lat) const noexcept;
 
   /// Owning partition of a cell — the deterministic hash.

@@ -133,10 +133,9 @@ std::optional<net::UploadAck> Router::route_upload(
         continue;
       case net::UploadAckStatus::kStaleEpoch:
         // The node fenced us: its epoch is ahead of the table this leg was
-        // stamped with. Refresh from the authority and defer the leg — the
-        // retry re-routes it under the newer table (and any legs later in
-        // this same attempt already see it).
-        refresh_table();
+        // stamped with, or it lost its heartbeats. Defer the leg. This
+        // router is the table authority — probe rounds retarget it in
+        // place — so the retry routes the leg under the current table.
         any_deferred = true;
         m.subupload_deferrals.inc();
         continue;
@@ -279,23 +278,6 @@ void Router::set_primary(std::size_t partition, std::uint32_t node) {
   std::unique_lock lk(table_mu_);
   table_.primary_of[partition] = node;
   ++table_.epoch;
-}
-
-void Router::set_refresh(RefreshFn refresh) { refresh_ = std::move(refresh); }
-
-bool Router::adopt_table(const RoutingTable& table) {
-  std::unique_lock lk(table_mu_);
-  if (table.epoch <= table_.epoch) return false;
-  table_ = table;
-  return true;
-}
-
-void Router::refresh_table() {
-  if (!refresh_) return;
-  const auto fresh = refresh_();
-  if (fresh && adopt_table(fresh->table)) {
-    obs::cluster_metrics().table_refreshes.inc();
-  }
 }
 
 std::vector<std::uint8_t> handle_fanout_query(

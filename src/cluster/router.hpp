@@ -95,16 +95,6 @@ class Router {
   /// Retarget one partition (failover promotion); bumps the epoch.
   void set_primary(std::size_t partition, std::uint32_t node);
 
-  /// Where a fenced-off router fetches a fresh table after a node answers
-  /// kStaleEpoch (epoch fencing — the node's epoch is ahead of ours).
-  /// nullopt = authority unreachable; the leg stays deferred and the
-  /// retry refreshes again.
-  using RefreshFn = std::function<std::optional<RoutingTableMessage>()>;
-  void set_refresh(RefreshFn refresh);
-  /// Adopt `table` iff it is strictly newer than the current one. Returns
-  /// whether it was adopted.
-  bool adopt_table(const RoutingTable& table);
-
   [[nodiscard]] const GeoPartitioner& partitioner() const noexcept {
     return partitioner_;
   }
@@ -116,15 +106,11 @@ class Router {
     std::map<std::size_t, std::uint64_t> settled;  ///< partition → segments
   };
 
-  /// Pull a fresh table through refresh_ (if set) and adopt it if newer.
-  void refresh_table();
-
   GeoPartitioner partitioner_;
   retrieval::RetrievalConfig retrieval_;
   NodeExchange exchange_;
   mutable std::shared_mutex table_mu_;
   RoutingTable table_;
-  RefreshFn refresh_;  ///< set before traffic starts; not re-assigned after
   std::mutex resume_mu_;
   std::unordered_map<std::uint64_t, ResumeState> resume_;
 };

@@ -188,56 +188,4 @@ std::optional<ReplicateAckMessage> decode_replicate_ack(
   return m;
 }
 
-std::vector<std::uint8_t> encode_routing_table(const RoutingTableMessage& m) {
-  ByteWriter w;
-  w.put_u8(kMsgRoutingTable);
-  put_double(w, m.partition.bounds.min[0]);
-  put_double(w, m.partition.bounds.min[1]);
-  put_double(w, m.partition.bounds.max[0]);
-  put_double(w, m.partition.bounds.max[1]);
-  w.put_varint(m.partition.cells_per_side);
-  w.put_varint(m.partition.partitions);
-  w.put_varint(m.partition.salt);
-  w.put_varint(m.table.epoch);
-  w.put_varint(m.table.primary_of.size());
-  for (const std::uint32_t n : m.table.primary_of) w.put_varint(n);
-  return util::seal(w);
-}
-
-std::optional<RoutingTableMessage> decode_routing_table(
-    std::span<const std::uint8_t> bytes) {
-  const auto body = util::unseal(bytes);
-  if (!body) return std::nullopt;
-  ByteReader r(*body);
-  const auto tag = r.get_u8();
-  if (!tag || *tag != kMsgRoutingTable) return std::nullopt;
-  RoutingTableMessage m;
-  const auto lng0 = get_double(r);
-  const auto lat0 = get_double(r);
-  const auto lng1 = get_double(r);
-  const auto lat1 = get_double(r);
-  if (!lng0 || !lat0 || !lng1 || !lat1) return std::nullopt;
-  m.partition.bounds.min = {*lng0, *lat0};
-  m.partition.bounds.max = {*lng1, *lat1};
-  const auto cells = r.get_varint();
-  const auto parts = r.get_varint();
-  const auto salt = r.get_varint();
-  const auto epoch = r.get_varint();
-  const auto count = r.get_varint();
-  if (!cells || !parts || !salt || !epoch || !count) return std::nullopt;
-  if (*count > body->size()) return std::nullopt;
-  m.partition.cells_per_side = static_cast<std::size_t>(*cells);
-  m.partition.partitions = static_cast<std::size_t>(*parts);
-  m.partition.salt = *salt;
-  m.table.epoch = *epoch;
-  m.table.primary_of.reserve(*count);
-  for (std::uint64_t i = 0; i < *count; ++i) {
-    const auto n = r.get_varint();
-    if (!n) return std::nullopt;
-    m.table.primary_of.push_back(static_cast<std::uint32_t>(*n));
-  }
-  if (!r.exhausted()) return std::nullopt;
-  return m;
-}
-
 }  // namespace svg::cluster

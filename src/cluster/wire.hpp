@@ -34,7 +34,7 @@ inline constexpr std::uint8_t kMsgQueryFanout = 8;
 inline constexpr std::uint8_t kMsgFanoutResults = 9;
 inline constexpr std::uint8_t kMsgReplicateBatch = 10;
 inline constexpr std::uint8_t kMsgReplicateAck = 11;
-inline constexpr std::uint8_t kMsgRoutingTable = 12;
+// Type 12 is unused.
 
 /// Router → node: one leg of a scatter-gather query. Carries the router's
 /// routing epoch so a node can spot a stale router (diagnostic only — the
@@ -78,8 +78,9 @@ struct ReplicateAckMessage {
   std::optional<std::uint64_t> epoch;  ///< follower's routing epoch
 };
 
-/// The full routing state a node (or operator tool) needs to route:
-/// partition geometry + the current partition→node map.
+/// The full routing state: partition geometry + the current
+/// partition→node map. Router::routing() returns it and heartbeats hand
+/// it to each node's fence; it has no wire encoding (type 12 is unused).
 struct RoutingTableMessage {
   PartitionConfig partition;
   RoutingTable table;
@@ -103,11 +104,6 @@ struct RoutingTableMessage {
 [[nodiscard]] std::vector<std::uint8_t> encode_replicate_ack(
     const ReplicateAckMessage& m);
 [[nodiscard]] std::optional<ReplicateAckMessage> decode_replicate_ack(
-    std::span<const std::uint8_t> bytes);
-
-[[nodiscard]] std::vector<std::uint8_t> encode_routing_table(
-    const RoutingTableMessage& m);
-[[nodiscard]] std::optional<RoutingTableMessage> decode_routing_table(
     std::span<const std::uint8_t> bytes);
 
 }  // namespace svg::cluster

@@ -66,7 +66,7 @@ struct FovColumns {
 
 /// Append to `out` the row ids in [begin, end) whose position lies inside
 /// the range's rectangle and whose [ts, te] interval overlaps its time
-/// window — exactly the per-entry test LinearIndex/FovIndex::query apply.
+/// window — exactly LinearIndex::query's per-entry test.
 /// Returns the number of rows appended.
 std::size_t scan_range(const FovColumns& cols, std::uint32_t begin,
                        std::uint32_t end, const GeoTimeRange& range,

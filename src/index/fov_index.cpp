@@ -1,10 +1,5 @@
 #include "index/fov_index.hpp"
 
-#include <algorithm>
-#include <array>
-
-#include "geo/geodesy.hpp"
-
 namespace svg::index {
 
 FovIndex::FovIndex(FovIndexOptions options)
@@ -47,42 +42,12 @@ bool FovIndex::erase(FovHandle handle) {
   return removed;
 }
 
-void FovIndex::query(const GeoTimeRange& range, const Visitor& visit) const {
-  query(range, [&](const core::RepresentativeFov& rep) { visit(rep); });
-}
-
 std::vector<core::RepresentativeFov> FovIndex::query_collect(
     const GeoTimeRange& range) const {
   std::vector<core::RepresentativeFov> out;
   query(range, [&](const core::RepresentativeFov& rep) {
     out.push_back(rep);
   });
-  return out;
-}
-
-std::vector<core::RepresentativeFov> FovIndex::nearest_k(
-    const geo::LatLng& center, std::size_t k, core::TimestampMs t_start,
-    core::TimestampMs t_end) const {
-  // Best-first k-NN with per-dimension weights: longitude/latitude deltas
-  // are scaled to metres at the query latitude (so the ordering IS metric
-  // distance) and the time axis gets weight 0 — it only filters through
-  // the accept callback.
-  const double t_lo = static_cast<double>(t_start) * options_.ms_to_units;
-  const double t_hi = static_cast<double>(t_end) * options_.ms_to_units;
-  const std::array<double, 3> point{center.lng, center.lat, t_lo};
-  const std::array<double, 3> weights{
-      geo::metres_per_degree_lng(center.lat), geo::metres_per_degree_lat(),
-      0.0};
-  const auto raw = tree_.nearest(
-      point, k,
-      [&](const geo::Box3& box, const FovHandle&) {
-        // Interval overlap with the window; spatial part unconstrained.
-        return box.min[2] <= t_hi && box.max[2] >= t_lo;
-      },
-      weights);
-  std::vector<core::RepresentativeFov> out;
-  out.reserve(raw.size());
-  for (const auto& e : raw) out.push_back(slots_[e.value]);
   return out;
 }
 
@@ -125,11 +90,6 @@ bool LinearIndex::erase(FovHandle handle) {
   alive_[handle] = false;
   --live_;
   return true;
-}
-
-void LinearIndex::query(const GeoTimeRange& range,
-                        const Visitor& visit) const {
-  query(range, [&](const core::RepresentativeFov& rep) { visit(rep); });
 }
 
 std::vector<core::RepresentativeFov> LinearIndex::query_collect(

@@ -1,15 +1,15 @@
 #pragma once
-// The server-side FoV index of Section V-A: each representative FoV
-// f_r = (p̄, θ̄) with interval [ts, te] becomes the degenerate 3-D rectangle
-// min = [lng, lat, ts], max = [lng, lat, te] in an R-tree. A linear-scan
-// baseline with the same interface backs the Fig. 6(c) comparison. Neither
-// is synchronized: the server serves concurrent queriers from the tiered
-// index (tiered_fov_index.hpp), which tests check against FovIndex as the
-// oracle.
+// The FoV index of Section V-A: each representative FoV f_r = (p̄, θ̄) with
+// interval [ts, te] becomes the degenerate 3-D rectangle
+// min = [lng, lat, ts], max = [lng, lat, te] in an R-tree — the paper's
+// index of Fig. 6(b)/(c). A linear-scan baseline with the same range query
+// backs the Fig. 6(c) comparison. Neither is synchronized: the server
+// serves concurrent queriers from the tiered index (tiered_fov_index.hpp),
+// which the tests and the end-to-end benchmark check against FovIndex as
+// the oracle. Every query runs through retrieval::RetrievalEngine.
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <vector>
 
 #include "core/fov.hpp"
@@ -40,8 +40,6 @@ using FovHandle = std::uint32_t;
 /// R-tree backed spatio-temporal index over representative FoVs.
 class FovIndex {
  public:
-  using Visitor = std::function<void(const core::RepresentativeFov&)>;
-
   explicit FovIndex(FovIndexOptions options = {});
 
   /// Insert a representative FoV; O(log n). Returns a handle for erase().
@@ -60,10 +58,6 @@ class FovIndex {
                 [&](const geo::Box3&, const FovHandle& h) { visit(slots_[h]); });
   }
 
-  /// Thin adapter for callers that already hold a std::function (and for
-  /// virtual-dispatch call sites); pays one indirect call per candidate.
-  void query(const GeoTimeRange& range, const Visitor& visit) const;
-
   /// Convenience: collect matches.
   [[nodiscard]] std::vector<core::RepresentativeFov> query_collect(
       const GeoTimeRange& range) const;
@@ -74,14 +68,6 @@ class FovIndex {
 
   /// All live entries, in insertion order — for snapshots and rebuilds.
   [[nodiscard]] std::vector<core::RepresentativeFov> snapshot() const;
-
-  /// The k stored FoVs nearest to (lat, lng) whose interval overlaps
-  /// [t_start, t_end], nearest first (best-first search; no radius box
-  /// needed). Distance is planar degrees scaled to metres at the query
-  /// latitude, so ordering matches geo::distance_m at city scale.
-  [[nodiscard]] std::vector<core::RepresentativeFov> nearest_k(
-      const geo::LatLng& center, std::size_t k, core::TimestampMs t_start,
-      core::TimestampMs t_end) const;
 
   /// Offline construction via STR packing (ablation vs dynamic insert).
   static FovIndex bulk_load(const std::vector<core::RepresentativeFov>& reps,
@@ -98,12 +84,10 @@ class FovIndex {
   std::size_t live_ = 0;
 };
 
-/// Brute-force baseline: identical interface, O(n) query — the "naive
+/// Brute-force baseline: the same range query in O(n) — the "naive
 /// linear search" the paper compares against in Fig. 6(c).
 class LinearIndex {
  public:
-  using Visitor = FovIndex::Visitor;
-
   FovHandle insert(const core::RepresentativeFov& rep);
   bool erase(FovHandle handle);
   template <typename F>
@@ -119,7 +103,6 @@ class LinearIndex {
       visit(rep);
     }
   }
-  void query(const GeoTimeRange& range, const Visitor& visit) const;
   [[nodiscard]] std::vector<core::RepresentativeFov> query_collect(
       const GeoTimeRange& range) const;
   [[nodiscard]] std::size_t size() const noexcept { return live_; }

@@ -23,9 +23,9 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <numeric>
-#include <queue>
 #include <stdexcept>
 #include <type_traits>
 #include <utility>
@@ -164,83 +164,6 @@ class RTree {
       out.push_back(Entry{b, v});
     });
     return out;
-  }
-
-  /// k-nearest-neighbour search (best-first / branch-and-bound): the k
-  /// entries whose boxes minimize the weighted Euclidean min-distance to
-  /// `point`, nearest first. `accept(box, value)` filters candidates
-  /// (return false to skip without consuming a slot). `weights` scales
-  /// each dimension's contribution — a 0 weight makes a dimension
-  /// filter-only (e.g. spatial k-NN with a time-window accept).
-  template <typename Accept>
-  [[nodiscard]] std::vector<Entry> nearest(
-      const std::array<double, N>& point, std::size_t k, Accept&& accept,
-      const std::array<double, N>& weights = unit_weights()) const {
-    std::vector<Entry> out;
-    if (!root_ || k == 0) return out;
-    std::size_t visited = 0;
-
-    struct Item {
-      double dist2;
-      const Node* node;    // nullptr when this is a leaf entry
-      const Entry* entry;  // set when node == nullptr
-      bool operator>(const Item& o) const { return dist2 > o.dist2; }
-    };
-    std::priority_queue<Item, std::vector<Item>, std::greater<Item>> heap;
-    heap.push({min_dist2(root_->box, point, weights), root_.get(),
-               nullptr});
-
-    while (!heap.empty() && out.size() < k) {
-      const Item top = heap.top();
-      heap.pop();
-      ++visited;
-      if (top.node == nullptr) {
-        out.push_back(*top.entry);
-        continue;
-      }
-      if (top.node->leaf) {
-        for (const auto& e : top.node->entries) {
-          if (!accept(e.box, e.value)) continue;
-          heap.push({min_dist2(e.box, point, weights), nullptr, &e});
-        }
-      } else {
-        for (const auto& c : top.node->children) {
-          heap.push({min_dist2(c->box, point, weights), c.get(), nullptr});
-        }
-      }
-    }
-    boxes_visited_.store(visited, std::memory_order_relaxed);
-    return out;
-  }
-
-  [[nodiscard]] std::vector<Entry> nearest(
-      const std::array<double, N>& point, std::size_t k) const {
-    return nearest(point, k, [](const BoxN&, const T&) { return true; });
-  }
-
-  static constexpr std::array<double, N> unit_weights() noexcept {
-    std::array<double, N> w{};
-    w.fill(1.0);
-    return w;
-  }
-
-  /// Weighted squared Euclidean distance from a point to the nearest face
-  /// of a box (0 when inside).
-  static double min_dist2(
-      const BoxN& box, const std::array<double, N>& p,
-      const std::array<double, N>& weights = unit_weights()) noexcept {
-    double d2 = 0.0;
-    for (std::size_t d = 0; d < N; ++d) {
-      double delta = 0.0;
-      if (p[d] < box.min[d]) {
-        delta = box.min[d] - p[d];
-      } else if (p[d] > box.max[d]) {
-        delta = p[d] - box.max[d];
-      }
-      delta *= weights[d];
-      d2 += delta * delta;
-    }
-    return d2;
   }
 
   [[nodiscard]] RTreeStats stats() const {
@@ -762,7 +685,7 @@ class RTree {
   std::unique_ptr<Node> root_;
   std::size_t size_ = 0;
   /// Work metric for Fig. 6(c): boxes touched by the most recent
-  /// query/nearest call. Atomic so concurrent readers (shared-lock queries
+  /// query. Atomic so concurrent readers (shared-lock queries
   /// of a TieredFovIndex run) publish without racing; each query writes it
   /// exactly once, at the end.
   mutable std::atomic<std::size_t> boxes_visited_{0};

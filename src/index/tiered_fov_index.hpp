@@ -188,10 +188,6 @@ class TieredFovIndex {
     });
   }
 
-  void query(const GeoTimeRange& range, const FovIndex::Visitor& visit) const {
-    query(range, [&](const core::RepresentativeFov& rep) { visit(rep); });
-  }
-
   /// Convenience: collect matches (instrumented via query()).
   [[nodiscard]] std::vector<core::RepresentativeFov> query_collect(
       const GeoTimeRange& range) const;

@@ -29,10 +29,12 @@ std::optional<ClipRequest> decode_clip_request(
   if (type != kMsgClipRequest || !vid || !ts || !dur || !r.exhausted()) {
     return std::nullopt;
   }
+  const auto t_end = checked_end(*ts, static_cast<std::int64_t>(*dur));
+  if (!t_end) return std::nullopt;
   ClipRequest m;
   m.video_id = *vid;
   m.t_start = *ts;
-  m.t_end = *ts + static_cast<std::int64_t>(*dur);
+  m.t_end = *t_end;
   return m;
 }
 
@@ -66,13 +68,15 @@ std::optional<ClipResponse> decode_clip_response(
     const auto dur = r.get_varint();
     const auto len = r.get_varint();
     if (!vid || !ts || !dur || !len) return std::nullopt;
+    const auto t_end = checked_end(*ts, static_cast<std::int64_t>(*dur));
+    if (!t_end) return std::nullopt;
     // get_bytes bounds the claimed length by the bytes actually present
     // before anything is allocated.
     const auto payload = r.get_bytes(*len);
     if (!payload) return std::nullopt;
     m.clip.video_id = *vid;
     m.clip.t_start = *ts;
-    m.clip.t_end = *ts + static_cast<std::int64_t>(*dur);
+    m.clip.t_end = *t_end;
     m.clip.payload.assign(payload->begin(), payload->end());
   }
   if (!r.exhausted()) return std::nullopt;

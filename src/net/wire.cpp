@@ -182,20 +182,28 @@ std::optional<QueryMessage> decode_query(std::span<const std::uint8_t> bytes) {
                        static_cast<double>(*radius), *top_n);
 }
 
+std::optional<core::TimestampMs> checked_end(core::TimestampMs t_start,
+                                             std::int64_t duration) noexcept {
+  core::TimestampMs t_end = 0;
+  if (__builtin_add_overflow(t_start, duration, &t_end)) return std::nullopt;
+  return t_end;
+}
+
 std::optional<QueryMessage> checked_query(std::int64_t t_start,
                                           std::int64_t duration,
                                           const geo::LatLng& center,
                                           double radius_m,
                                           std::uint64_t top_n) noexcept {
-  QueryMessage m;
+  const auto t_end = checked_end(t_start, duration);
   // The negated range tests also reject NaN.
-  if (__builtin_add_overflow(t_start, duration, &m.t_end) ||
-      !(std::abs(center.lat) <= 90.0) || !(std::abs(center.lng) <= 180.0) ||
-      !std::isfinite(radius_m) ||
+  if (!t_end || !(std::abs(center.lat) <= 90.0) ||
+      !(std::abs(center.lng) <= 180.0) || !std::isfinite(radius_m) ||
       top_n > std::numeric_limits<std::uint32_t>::max()) {
     return std::nullopt;
   }
+  QueryMessage m;
   m.t_start = t_start;
+  m.t_end = *t_end;
   m.center = center;
   m.radius_m = radius_m;
   m.top_n = static_cast<std::uint32_t>(top_n);
@@ -235,11 +243,13 @@ std::optional<ResultsMessage> decode_results(
     const auto dur = r.get_varint();
     const auto dist = r.get_varint();
     if (!vid || !sid || !ts || !dur || !dist) return std::nullopt;
+    const auto t_end = checked_end(*ts, static_cast<std::int64_t>(*dur));
+    if (!t_end) return std::nullopt;
     ResultEntry e;
     e.video_id = *vid;
     e.segment_id = static_cast<std::uint32_t>(*sid);
     e.t_start = *ts;
-    e.t_end = *ts + static_cast<std::int64_t>(*dur);
+    e.t_end = *t_end;
     e.distance_m = static_cast<float>(static_cast<double>(*dist) / 10.0);
     m.entries.push_back(e);
   }

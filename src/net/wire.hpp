@@ -123,12 +123,21 @@ struct ResultsMessage {
 [[nodiscard]] std::optional<QueryMessage> decode_query(
     std::span<const std::uint8_t> bytes);
 
+/// t_start + duration: the interval end every decoder here rebuilds from
+/// a start field and a duration field. nullopt when the sum overflows
+/// int64, which no encoder writes. A u64 duration varint is passed as
+/// static_cast<std::int64_t>, so a t_end before t_start — encoded as the
+/// u64 wrap of the negative difference — still round-trips.
+[[nodiscard]] std::optional<core::TimestampMs> checked_end(
+    core::TimestampMs t_start, std::int64_t duration) noexcept;
+
 /// The one check both query decoders (decode_query and the cluster's
 /// decode_query_fanout) run on the fields they read, so neither accepts
 /// what no encoder writes: nullopt when t_start + duration overflows
-/// int64, the centre is not finite or off the globe (|lat| > 90°,
-/// |lng| > 180°), the radius is not finite, or top_n does not fit in
-/// uint32_t. A negative duration or radius passes — encoders write both.
+/// int64 (checked_end), the centre is not finite or off the globe
+/// (|lat| > 90°, |lng| > 180°), the radius is not finite, or top_n does
+/// not fit in uint32_t. A negative duration or radius passes — encoders
+/// write both.
 [[nodiscard]] std::optional<QueryMessage> checked_query(
     std::int64_t t_start, std::int64_t duration, const geo::LatLng& center,
     double radius_m, std::uint64_t top_n) noexcept;

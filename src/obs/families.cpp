@@ -337,8 +337,6 @@ ClusterMetrics& cluster_metrics() {
                        "Nodes that self-fenced after losing heartbeats"),
       global().counter("svg_cluster_node_unfences_total",
                        "Fenced nodes released by a resumed heartbeat"),
-      global().counter("svg_cluster_table_refreshes_total",
-                       "Router routing-table refreshes after fence acks"),
       global().gauge("svg_cluster_nodes_up",
                      "Cluster nodes currently up and serving"),
       global().gauge("svg_cluster_nodes_fenced",

@@ -220,7 +220,6 @@ struct ClusterMetrics {
   Counter& stale_epoch_rejects; ///< writes refused by epoch fencing
   Counter& node_fences;         ///< nodes that self-fenced on lost heartbeats
   Counter& node_unfences;       ///< fenced nodes released by a heartbeat
-  Counter& table_refreshes;     ///< router table refreshes after fence acks
   Gauge& nodes_up;              ///< cluster nodes currently serving
   Gauge& nodes_fenced;          ///< nodes currently refusing ingest
   Gauge& replication_lag;       ///< worst follower lag (records behind)

@@ -1,7 +1,10 @@
 #pragma once
-// The rank-based retrieval pipeline of Section V-B, generic over the index
-// (TieredFovIndex, FovIndex, LinearIndex — anything exposing
-// `query(GeoTimeRange, visitor)`):
+// The rank-based retrieval pipeline of Section V-B — the one way a query
+// is answered: by every node, by each leg of the router's fan-out and by
+// the oracles that check them. Generic over the index: TieredFovIndex (the
+// server's), FovIndex (the paper's R-tree, the oracle) and LinearIndex
+// (Fig. 6(c)'s baseline) each expose a template
+// `query(GeoTimeRange, visitor)`:
 //
 //   1. build the search box (RetrievalConfig::search_range in query.hpp):
 //      R plus a rounding margin around p̂ with the orientation filter on,

@@ -245,9 +245,9 @@ TEST(ClusterFencingPropertyTest, RejoinLandsInStrictlyNewerEpoch) {
 TEST(ClusterFencingPropertyTest, AsymmetricPartitionConvergesToOracle) {
   // ≥50 seeds: probe path to one node dies mid-stream while the client
   // path stays alive. The fence refuses the victim's ingest during the
-  // window, the router refreshes-and-retries on kStaleEpoch, failover
-  // retargets, and the final cluster content is byte-identical to the
-  // fault-free single-node oracle.
+  // window, the router defers each kStaleEpoch leg and the client's retry
+  // re-offers it, failover retargets, and the final cluster content is
+  // byte-identical to the fault-free single-node oracle.
   for (std::uint64_t seed = 1; seed <= 50; ++seed) {
     ScopedDir dir("conv" + std::to_string(seed));
     const auto uploads = make_uploads(seed * 131 + 5, 8);

@@ -1,19 +1,16 @@
-// Geo-partitioner and routing-table properties: the cell→partition layout
-// must be a pure function of PartitionConfig (any restart recomputes the
-// identical assignment), range pruning must never skip a partition that
-// could hold a match, a rectangle that misses the deployment entirely must
-// contact nobody, and the routing-table wire message must survive a round
-// trip and reject corruption.
+// Geo-partitioner properties: the cell→partition layout must be a pure
+// function of PartitionConfig (any restart recomputes the identical
+// assignment), range pruning must never skip a partition that could hold a
+// match, a rectangle that misses the deployment entirely must contact
+// nobody, and sub-upload ids must be deterministic.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <span>
 #include <vector>
 
 #include "cluster/partition.hpp"
 #include "cluster/router.hpp"
-#include "cluster/wire.hpp"
 #include "sim/crowd.hpp"
 #include "util/rng.hpp"
 
@@ -142,45 +139,6 @@ TEST(ClusterPartitionTest, DisjointRangeFansOutToNobody) {
   range.lat_min = bounds.min[1];
   range.lat_max = bounds.max[1];
   EXPECT_TRUE(p.partitions_for_range(range).empty());
-}
-
-TEST(ClusterPartitionTest, RoutingTableWireRoundTrip) {
-  RoutingTableMessage msg;
-  msg.partition = city_config(5, 9);
-  msg.table = RoutingTable::identity(5);
-  msg.table.epoch = 3;
-  msg.table.primary_of[2] = 4;  // one partition failed over
-
-  const auto bytes = encode_routing_table(msg);
-  const auto back = decode_routing_table(bytes);
-  ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(back->partition, msg.partition);
-  EXPECT_EQ(back->table, msg.table);
-
-  // A decoded table must rebuild the identical partitioner (the
-  // restart-determinism guarantee, carried over the wire).
-  const GeoPartitioner a(msg.partition);
-  const GeoPartitioner b(back->partition);
-  for (std::size_t cell = 0; cell < a.cell_count(); ++cell) {
-    ASSERT_EQ(a.partition_of_cell(cell), b.partition_of_cell(cell));
-  }
-}
-
-TEST(ClusterPartitionTest, RoutingTableRejectsCorruptionAndTruncation) {
-  RoutingTableMessage msg;
-  msg.partition = city_config(3);
-  msg.table = RoutingTable::identity(3);
-  const auto bytes = encode_routing_table(msg);
-  for (std::size_t i = 0; i < bytes.size(); ++i) {
-    auto bad = bytes;
-    bad[i] ^= 0x40;
-    EXPECT_FALSE(decode_routing_table(bad).has_value())
-        << "flip at byte " << i << " decoded anyway";
-  }
-  for (std::size_t len = 0; len < bytes.size(); ++len) {
-    EXPECT_FALSE(
-        decode_routing_table(std::span(bytes.data(), len)).has_value());
-  }
 }
 
 TEST(ClusterPartitionTest, SubUploadIdsAreDeterministicAndNonZero) {

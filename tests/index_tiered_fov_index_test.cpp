@@ -195,22 +195,6 @@ TEST(TieredFovIndexTest, TightTimeWindowsSkipWholeRuns) {
   EXPECT_EQ(rm.scans.value() - scans0, 1u);
 }
 
-TEST(TieredFovIndexTest, TemplateAndFunctionVisitorsAgree) {
-  svg::util::Xoshiro256 rng(21);
-  TieredFovIndex idx({.memtable_capacity = 50});
-  for (int i = 0; i < 200; ++i) idx.insert(random_rep(rng));
-  const auto q = random_range(rng);
-
-  std::vector<RepresentativeFov> via_template;
-  idx.query(q, [&](const RepresentativeFov& r) { via_template.push_back(r); });
-  std::vector<RepresentativeFov> via_function;
-  const FovIndex::Visitor visit = [&](const RepresentativeFov& r) {
-    via_function.push_back(r);
-  };
-  idx.query(q, visit);
-  EXPECT_EQ(keys(via_template), keys(via_function));
-}
-
 // Aggregated svg_index_* metrics move for tiered operations, and the
 // run-lifecycle family tracks seals and run rows.
 TEST(TieredFovIndexTest, FeedsAggregatedAndRunMetrics) {

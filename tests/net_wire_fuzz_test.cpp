@@ -485,15 +485,6 @@ std::vector<CodecRow> codec_table() {
   rows.push_back(sealed_row("replicate ack + epoch",
                             cluster::encode_replicate_ack(rack), rack_rt,
                             epoch_tag, true));
-  cluster::RoutingTableMessage routing;
-  routing.partition.bounds.min = {116.2, 39.8};
-  routing.partition.bounds.max = {116.6, 40.1};
-  routing.partition.partitions = 3;
-  routing.table = cluster::RoutingTable::identity(3);
-  routing.table.epoch = 5;
-  rows.push_back(sealed_row(
-      "routing table", cluster::encode_routing_table(routing),
-      via(cluster::decode_routing_table, cluster::encode_routing_table)));
 
   rows.push_back(sealed_row(
       "snapshot", encode_snapshot(table_reps(5, 3), 99, {3, 42, 7}),
@@ -769,6 +760,94 @@ TEST(WireFuzzTest, QueryFanoutRejectsWhatNoEncoderWrites) {
     EXPECT_EQ(msg.has_value(), r.decodes);
     if (msg) {
       EXPECT_EQ(cluster::encode_query_fanout(*msg), bytes);
+    }
+  }
+}
+
+// --- interval readers: what no encoder writes --------------------------------
+
+/// A (t_start, duration varint) pair as the results entry and both clip
+/// messages carry it. Encoders write the duration as the u64 wrap of
+/// t_end - t_start, so a negative difference is legal; an end past int64
+/// is not.
+struct IntervalRow {
+  std::string name;
+  std::int64_t t_start = 0;
+  std::uint64_t duration = 0;
+  bool decodes = false;
+};
+
+std::vector<IntervalRow> crafted_interval_rows() {
+  constexpr std::int64_t kT0 = 1'400'000'000'000;
+  constexpr auto kMax = std::numeric_limits<std::int64_t>::max();
+  constexpr auto kMin = std::numeric_limits<std::int64_t>::min();
+  const auto back = [](std::int64_t ms) {  // a negative duration
+    return static_cast<std::uint64_t>(-ms);
+  };
+  return {
+      {"in range", kT0, 60'000, true},
+      {"ends at int64 max", kMax - 10, 10, true},
+      {"ends before it starts", kT0, back(5'000), true},
+      {"ends at int64 min", kMin + 10, back(10), true},
+      {"end time overflows", kMax, 1, false},
+      {"end time overflows by more", kMax - 5, 10, false},
+      {"end time underflows", kMin + 5, back(10), false},
+      {"duration 2^64 - 1 at int64 min", kMin, ~std::uint64_t{0}, false},
+  };
+}
+
+TEST(WireFuzzTest, ResultsRejectWhatNoEncoderWrites) {
+  // One results entry in encoder order, sealed by hand so only the
+  // interval check can reject it.
+  for (const IntervalRow& row : crafted_interval_rows()) {
+    SCOPED_TRACE(row.name);
+    ByteWriter w;
+    w.put_u8(kMsgResults);
+    w.put_varint(1);  // entry count
+    w.put_varint(7);  // video id
+    w.put_varint(2);  // segment id
+    w.put_svarint(row.t_start);
+    w.put_varint(row.duration);
+    w.put_varint(125);  // 12.5 m in decimetres
+    const Bytes bytes = svg::util::seal(w);
+    const auto msg = decode_results(bytes);
+    EXPECT_EQ(msg.has_value(), row.decodes);
+    if (msg) {
+      EXPECT_EQ(encode_results(*msg), bytes);
+    }
+  }
+}
+
+TEST(WireFuzzTest, ClipMessagesRejectWhatNoEncoderWrites) {
+  // The provider decodes the request and the querier the response; both
+  // carry the clip's interval in the same two fields.
+  for (const IntervalRow& row : crafted_interval_rows()) {
+    SCOPED_TRACE(row.name);
+    ByteWriter req;
+    req.put_u8(kMsgClipRequest);
+    req.put_varint(7);  // video id
+    req.put_svarint(row.t_start);
+    req.put_varint(row.duration);
+    const Bytes req_bytes = svg::util::seal(req);
+    const auto request = decode_clip_request(req_bytes);
+    EXPECT_EQ(request.has_value(), row.decodes) << "request";
+    if (request) {
+      EXPECT_EQ(encode_clip_request(*request), req_bytes);
+    }
+
+    ByteWriter resp;
+    resp.put_u8(kMsgClipResponse);
+    resp.put_u8(1);  // found
+    resp.put_varint(7);  // video id
+    resp.put_svarint(row.t_start);
+    resp.put_varint(row.duration);
+    resp.put_varint(3);  // payload length
+    resp.put_bytes(Bytes{1, 2, 3});
+    const Bytes resp_bytes = svg::util::seal(resp);
+    const auto response = decode_clip_response(resp_bytes);
+    EXPECT_EQ(response.has_value(), row.decodes) << "response";
+    if (response) {
+      EXPECT_EQ(encode_clip_response(*response), resp_bytes);
     }
   }
 }

@@ -1,4 +1,4 @@
-// The retrieval engine is generic over the index backend: every backend
+// The retrieval engine is generic over the index: every kept index
 // exposing query(GeoTimeRange, visitor) must produce identical ranked
 // results. This pins the contract the bench comparisons rely on, and
 // checks the server's tiered index against the paper's R-tree as oracle.
@@ -12,10 +12,8 @@
 #include <utility>
 #include <vector>
 
-#include "index/fov_index.hpp"
-#include "index/grid_index.hpp"
-#include "index/kdtree_index.hpp"
 #include "geo/geodesy.hpp"
+#include "index/fov_index.hpp"
 #include "index/tiered_fov_index.hpp"
 #include "net/wire.hpp"
 #include "retrieval/engine.hpp"
@@ -35,9 +33,7 @@ class EngineBackendsTest : public ::testing::Test {
     for (const auto& r : reps_) {
       rtree_.insert(r);
       linear_.insert(r);
-      grid_.insert(r);
     }
-    kd_ = std::make_unique<index::KdTreeIndex>(reps_);
 
     cfg_.camera = {30.0, 100.0};
     cfg_.orientation_slack_deg = 5.0;
@@ -66,37 +62,30 @@ class EngineBackendsTest : public ::testing::Test {
   std::vector<core::RepresentativeFov> reps_;
   index::FovIndex rtree_;
   index::LinearIndex linear_;
-  index::GridIndex grid_{sim::CityModel{.extent_m = 2000.0}.bounds_deg(),
-                         48};
-  std::unique_ptr<index::KdTreeIndex> kd_;
   retrieval::RetrievalConfig cfg_;
 };
 
 TEST_F(EngineBackendsTest, AllBackendsReturnIdenticalRankings) {
   retrieval::RetrievalEngine<index::FovIndex> e_rtree(rtree_, cfg_);
   retrieval::RetrievalEngine<index::LinearIndex> e_linear(linear_, cfg_);
-  retrieval::RetrievalEngine<index::GridIndex> e_grid(grid_, cfg_);
-  retrieval::RetrievalEngine<index::KdTreeIndex> e_kd(*kd_, cfg_);
 
   util::Xoshiro256 rng(9);
   for (int i = 0; i < 40; ++i) {
     const auto q = random_query(rng);
     const auto a = keys(e_rtree.search(q));
     ASSERT_EQ(a, keys(e_linear.search(q))) << "linear, query " << i;
-    ASSERT_EQ(a, keys(e_grid.search(q))) << "grid, query " << i;
-    ASSERT_EQ(a, keys(e_kd.search(q))) << "kd, query " << i;
   }
 }
 
 TEST_F(EngineBackendsTest, TracesAgreeOnCandidateCounts) {
   retrieval::RetrievalEngine<index::FovIndex> e_rtree(rtree_, cfg_);
-  retrieval::RetrievalEngine<index::GridIndex> e_grid(grid_, cfg_);
+  retrieval::RetrievalEngine<index::LinearIndex> e_linear(linear_, cfg_);
   util::Xoshiro256 rng(10);
   for (int i = 0; i < 20; ++i) {
     const auto q = random_query(rng);
     retrieval::SearchTrace ta, tb;
     (void)e_rtree.search(q, &ta);
-    (void)e_grid.search(q, &tb);
+    (void)e_linear.search(q, &tb);
     ASSERT_EQ(ta.candidates, tb.candidates) << i;
     ASSERT_EQ(ta.after_filter, tb.after_filter) << i;
   }

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <type_traits>
+#include <vector>
 
 #include "geo/geodesy.hpp"
+#include "index/tiered_fov_index.hpp"
 #include "sim/crowd.hpp"
 #include "util/rng.hpp"
 
@@ -16,6 +19,7 @@ using svg::geo::LatLng;
 using svg::geo::offset_m;
 using svg::index::FovIndex;
 using svg::index::LinearIndex;
+using svg::index::TieredFovIndex;
 
 const LatLng kCenter{39.9042, 116.4074};
 
@@ -136,6 +140,37 @@ TEST(RetrievalEngineTest, TopNTruncates) {
   for (std::uint64_t i = 0; i < 5; ++i) {
     EXPECT_EQ(results[i].rep.video_id, i);
   }
+}
+
+TEST(RetrievalEngineTest, TopNZeroReturnsNothingButCountsTheFunnel) {
+  // Two cameras see the centre and one 40 m south faces away: with
+  // top_n = 0 nothing is returned, yet the funnel still counts all three
+  // candidates and both survivors — on the paper's R-tree and on the
+  // server's tiered index, before and after the memtable seals.
+  const std::vector<RepresentativeFov> reps{
+      rep_at(1, 0, -20, 0.0), rep_at(2, 0, -50, 0.0),
+      rep_at(3, 0, -40, 180.0)};
+  FovIndex plain;
+  TieredFovIndex tiered;
+  for (const auto& r : reps) {
+    plain.insert(r);
+    tiered.insert(r);
+  }
+  RetrievalConfig cfg = config();
+  cfg.top_n = 0;
+  const auto check = [&](const auto& idx, const char* name) {
+    SCOPED_TRACE(name);
+    RetrievalEngine<std::decay_t<decltype(idx)>> engine(idx, cfg);
+    SearchTrace trace;
+    EXPECT_TRUE(engine.search(query_at(), &trace).empty());
+    EXPECT_EQ(trace.candidates, 3u);
+    EXPECT_EQ(trace.after_filter, 2u);
+    EXPECT_EQ(trace.returned, 0u);
+  };
+  check(plain, "FovIndex");
+  check(tiered, "TieredFovIndex, memtable");
+  ASSERT_TRUE(tiered.seal_now());
+  check(tiered, "TieredFovIndex, sealed run");
 }
 
 TEST(RetrievalEngineTest, OrientationSlackAdmitsBorderline) {
