@@ -6,10 +6,11 @@
 // returns (sight_at) — read contiguous doubles instead of pointer-chasing
 // AoS R-tree entries.
 //
-// scan_range accumulates its per-row predicate with bitwise & (no early
-// exits) and appends hits with a branch-free "store then advance by hit"
-// idiom, which is what lets the compiler keep the loop free of
-// unpredictable branches and vectorize the comparisons
+// scan_range compares the lng/lat of two rows at once (one SSE2
+// _mm_cmpge_pd/_mm_cmple_pd per bound, folded by _mm_movemask_pd), reads
+// the time columns only for a pair with a spatial hit, and appends hits
+// with a branch-free "store then advance by hit" idiom. A scalar loop
+// takes the odd tail, and every row on targets without SSE2
 // (bench_micro_kernels gates the resulting throughput against the scalar
 // AoS path).
 
@@ -42,7 +43,6 @@ struct FovColumns {
   [[nodiscard]] bool empty() const noexcept { return lng.empty(); }
 
   void reserve(std::size_t n);
-  void clear();
   void push_back(const core::RepresentativeFov& rep, FovHandle h);
 
   [[nodiscard]] core::RepresentativeFov rep_at(std::size_t i) const {
@@ -66,8 +66,8 @@ struct FovColumns {
 
 /// Append to `out` the row ids in [begin, end) whose position lies inside
 /// the range's rectangle and whose [ts, te] interval overlaps its time
-/// window — exactly LinearIndex::query's per-entry test.
-/// Returns the number of rows appended.
+/// window — exactly LinearIndex::query's per-entry test — in ascending
+/// order. Returns the number of rows appended.
 std::size_t scan_range(const FovColumns& cols, std::uint32_t begin,
                        std::uint32_t end, const GeoTimeRange& range,
                        std::vector<std::uint32_t>& out);

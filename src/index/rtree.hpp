@@ -13,9 +13,9 @@
 // bench comparing one-by-one insertion (what a live crowd-sourcing server
 // does) against offline packing.
 //
-// The tree is not internally synchronized; svg::index::TieredFovIndex
-// queries its immutable per-run trees under a shared_mutex for the
-// multi-reader server.
+// The tree is not internally synchronized. svg::index::TieredFovIndex
+// builds no tree: its sealed runs borrow str_sort and pack_counts to lay
+// out their rows and flat block indexes.
 
 #include <algorithm>
 #include <atomic>
@@ -199,7 +199,8 @@ class RTree {
   /// Even node sizes for packing `size` items M-at-a-time: ceil(size/M)
   /// nodes of ⌊size/n⌋ or ⌈size/n⌉ items, so no node falls below m
   /// (m <= M/2 guarantees the floor is >= m whenever more than one node
-  /// is needed). Public so columnar runs can mirror the leaf grouping.
+  /// is needed). Public so ColumnarRun's flat block index groups its row
+  /// blocks and every level above them exactly as bulk_load would.
   static std::vector<std::size_t> pack_counts(std::size_t size,
                                               std::size_t max_entries) {
     const std::size_t n_nodes = (size + max_entries - 1) / max_entries;
@@ -210,8 +211,9 @@ class RTree {
 
   /// STR-order `entries` in place: after this call, consecutive groups of
   /// pack_counts(entries.size(), capacity) entries form the compact tiles
-  /// bulk_load packs into leaves. Exposed so ColumnarRun can lay its
-  /// structure-of-arrays columns out in exactly the bulk-load leaf order.
+  /// bulk_load packs into nodes. Exposed so ColumnarRun can lay its
+  /// structure-of-arrays columns out in exactly the bulk-load leaf order
+  /// and tile each level of its flat block index the same way.
   static void str_sort(std::vector<Entry>& entries, std::size_t capacity) {
     str_tile(entries, 0, capacity);
   }
@@ -685,9 +687,8 @@ class RTree {
   std::unique_ptr<Node> root_;
   std::size_t size_ = 0;
   /// Work metric for Fig. 6(c): boxes touched by the most recent
-  /// query. Atomic so concurrent readers (shared-lock queries
-  /// of a TieredFovIndex run) publish without racing; each query writes it
-  /// exactly once, at the end.
+  /// query. Atomic so concurrent readers of one const tree publish
+  /// without racing; each query writes it exactly once, at the end.
   mutable std::atomic<std::size_t> boxes_visited_{0};
 };
 

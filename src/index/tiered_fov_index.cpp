@@ -3,9 +3,12 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
+#include <cmath>
 #include <limits>
 #include <stdexcept>
 #include <utility>
+
+#include "index/rtree.hpp"
 
 namespace svg::index {
 
@@ -23,6 +26,78 @@ void append_row(FovColumns& dst, const FovColumns& src, std::size_t i) {
   dst.video_id.push_back(src.video_id[i]);
   dst.segment_id.push_back(src.segment_id[i]);
   dst.handle.push_back(src.handle[i]);
+}
+
+using BlockEntry = ColumnarRun::BlockEntry;
+using ChildRange = ColumnarRun::ChildRange;
+/// Only the R-tree's STR sort and packer: build-time levels hold exact
+/// double boxes, tiled and grouped as bulk_load would.
+using BlockPacker = RTree<ChildRange, 3>;
+using BuildLevel = std::vector<BlockPacker::Entry>;
+
+static_assert(sizeof(BlockEntry) == 32, "a block entry is half a line");
+static_assert(std::numeric_limits<float>::is_iec559,
+              "outward rounding relies on IEEE casts and nextafter");
+
+/// The block boxes' time axis: ms after the run's ts_min, subtracted in
+/// double — exact for epoch-ms values, and monotone in `t` for the query
+/// window and the rows alike.
+double ms_after(core::TimestampMs t, core::TimestampMs base) {
+  return static_cast<double>(t) - static_cast<double>(base);
+}
+
+/// A double → float cast rounds to nearest (±inf past the float range);
+/// step one ulp when it landed on the wrong side, so the float bound never
+/// cuts a row.
+float round_down(double x) {
+  const float f = static_cast<float>(x);
+  return static_cast<double>(f) > x
+             ? std::nextafter(f, -std::numeric_limits<float>::infinity())
+             : f;
+}
+float round_up(double x) {
+  const float f = static_cast<float>(x);
+  return static_cast<double>(f) < x
+             ? std::nextafter(f, std::numeric_limits<float>::infinity())
+             : f;
+}
+
+std::vector<BlockEntry> to_floats(const BuildLevel& level) {
+  std::vector<BlockEntry> out;
+  out.reserve(level.size());
+  for (const auto& e : level) {
+    BlockEntry b;
+    for (std::size_t d = 0; d < 3; ++d) {
+      b.min[d] = round_down(e.box.min[d]);
+      b.max[d] = round_up(e.box.max[d]);
+    }
+    b.children = e.value;
+    out.push_back(b);
+  }
+  return out;
+}
+
+/// The box test in "not disjoint" form: a NaN bound never prunes.
+bool overlaps(const BlockEntry& e, const std::array<float, 3>& lo,
+              const std::array<float, 3>& hi) {
+  return !(e.min[0] > hi[0]) & !(lo[0] > e.max[0]) & !(e.min[1] > hi[1]) &
+         !(lo[1] > e.max[1]) & !(e.min[2] > hi[2]) & !(lo[2] > e.max[2]);
+}
+
+/// Throws unless `ranges` (any order) tile [0, size) with non-empty ranges.
+void check_tiling(std::vector<ChildRange> ranges, std::size_t size) {
+  std::sort(ranges.begin(), ranges.end(),
+            [](ChildRange a, ChildRange b) { return a.begin < b.begin; });
+  std::size_t next = 0;
+  for (const ChildRange r : ranges) {
+    if (r.begin != next || r.end <= r.begin) {
+      throw std::logic_error("ColumnarRun: child ranges do not tile a level");
+    }
+    next = r.end;
+  }
+  if (next != size) {
+    throw std::logic_error("ColumnarRun: child ranges do not tile a level");
+  }
 }
 
 }  // namespace
@@ -57,38 +132,139 @@ std::shared_ptr<const ColumnarRun> ColumnarRun::build(
     ts_max = std::max(ts_max, rows.te[e.value]);
   }
 
-  // Group consecutive rows into the same compact tiles bulk_load would
-  // pack into leaves, then bulk-load a tree whose leaf payloads are the
-  // [begin, end) blocks.
-  using BlockTree = RTree<RowBlock, 3>;
-  const auto counts = BlockTree::pack_counts(n, cap);
-  std::vector<BlockTree::Entry> blocks;
-  blocks.reserve(counts.size());
-  std::uint32_t begin = 0;
-  for (const std::size_t count : counts) {
-    const auto end = static_cast<std::uint32_t>(begin + count);
-    geo::Box3 bound;
-    bound.min = {cols.lng[begin], cols.lat[begin],
-                 static_cast<double>(cols.ts[begin]) * u};
-    bound.max = {cols.lng[begin], cols.lat[begin],
-                 static_cast<double>(cols.te[begin]) * u};
-    for (std::uint32_t i = begin + 1; i < end; ++i) {
-      bound.min[0] = std::min(bound.min[0], cols.lng[i]);
-      bound.min[1] = std::min(bound.min[1], cols.lat[i]);
-      bound.min[2] =
-          std::min(bound.min[2], static_cast<double>(cols.ts[i]) * u);
-      bound.max[0] = std::max(bound.max[0], cols.lng[i]);
-      bound.max[1] = std::max(bound.max[1], cols.lat[i]);
-      bound.max[2] =
-          std::max(bound.max[2], static_cast<double>(cols.te[i]) * u);
+  // Level 0: consecutive rows grouped into the compact tiles bulk_load
+  // would pack into leaves, each bounded exactly in (lng, lat, ms after
+  // ts_min).
+  BuildLevel level;
+  {
+    const auto counts = BlockPacker::pack_counts(n, cap);
+    level.reserve(counts.size());
+    std::uint32_t begin = 0;
+    for (const std::size_t count : counts) {
+      const auto end = static_cast<std::uint32_t>(begin + count);
+      geo::Box3 bound;
+      bound.min = {cols.lng[begin], cols.lat[begin],
+                   ms_after(cols.ts[begin], ts_min)};
+      bound.max = {cols.lng[begin], cols.lat[begin],
+                   ms_after(cols.te[begin], ts_min)};
+      for (std::uint32_t i = begin + 1; i < end; ++i) {
+        bound.min[0] = std::min(bound.min[0], cols.lng[i]);
+        bound.min[1] = std::min(bound.min[1], cols.lat[i]);
+        bound.min[2] = std::min(bound.min[2], ms_after(cols.ts[i], ts_min));
+        bound.max[0] = std::max(bound.max[0], cols.lng[i]);
+        bound.max[1] = std::max(bound.max[1], cols.lat[i]);
+        bound.max[2] = std::max(bound.max[2], ms_after(cols.te[i], ts_min));
+      }
+      level.push_back({bound, ChildRange{begin, end}});
+      begin = end;
     }
-    blocks.push_back({bound, RowBlock{begin, end}});
-    begin = end;
   }
-  BlockTree tree = BlockTree::bulk_load(std::move(blocks), options.rtree);
+  // Each level above groups STR tiles of `cap` entries of the one below —
+  // bulk_load's upper levels — until one level fits in a root's fanout.
+  std::vector<std::vector<BlockEntry>> levels;
+  for (;;) {
+    BlockPacker::str_sort(level, cap);
+    levels.push_back(to_floats(level));
+    if (level.size() <= cap) break;
+    const auto counts = BlockPacker::pack_counts(level.size(), cap);
+    BuildLevel up;
+    up.reserve(counts.size());
+    std::uint32_t begin = 0;
+    for (const std::size_t count : counts) {
+      const auto end = static_cast<std::uint32_t>(begin + count);
+      geo::Box3 bound = geo::Box3::empty();
+      for (std::uint32_t i = begin; i < end; ++i) bound.expand(level[i].box);
+      up.push_back({bound, ChildRange{begin, end}});
+      begin = end;
+    }
+    level = std::move(up);
+  }
 
-  return std::shared_ptr<const ColumnarRun>(new ColumnarRun(
-      std::move(cols), std::move(tree), u, ts_min, ts_max));
+  return std::shared_ptr<const ColumnarRun>(
+      new ColumnarRun(std::move(cols), std::move(levels), ts_min, ts_max));
+}
+
+std::size_t ColumnarRun::collect(const GeoTimeRange& range,
+                                 std::vector<std::uint32_t>& out) const {
+  // The window in the boxes' axes, rounded to nearest. Rounding is
+  // monotone, so a window bound at or inside a row's value stays at or
+  // inside that row's block bound, which was rounded outward from it.
+  const std::array<float, 3> lo{
+      static_cast<float>(range.lng_min), static_cast<float>(range.lat_min),
+      static_cast<float>(ms_after(range.t_start, ts_min_))};
+  const std::array<float, 3> hi{
+      static_cast<float>(range.lng_max), static_cast<float>(range.lat_max),
+      static_cast<float>(ms_after(range.t_end, ts_min_))};
+  // The frontier holds the child ranges still in play, one level at a
+  // time; both buffers only grow, so a warm thread allocates nothing.
+  static thread_local std::vector<ChildRange> frontier;
+  static thread_local std::vector<ChildRange> next;
+  if (frontier.empty()) frontier.resize(1);
+  frontier[0] = {0, static_cast<std::uint32_t>(levels_.back().size())};
+  std::size_t width = 1;
+  for (std::size_t l = levels_.size(); l-- > 0;) {
+    const BlockEntry* entries = levels_[l].data();
+    std::size_t reach = 0;
+    for (std::size_t f = 0; f < width; ++f) {
+      reach += frontier[f].end - frontier[f].begin;
+    }
+    if (next.size() < reach) next.resize(reach);
+    std::size_t w = 0;
+    for (std::size_t f = 0; f < width; ++f) {
+      for (std::uint32_t i = frontier[f].begin; i < frontier[f].end; ++i) {
+        next[w] = entries[i].children;
+        w += static_cast<std::size_t>(overlaps(entries[i], lo, hi));
+      }
+    }
+    frontier.swap(next);
+    width = w;
+  }
+  // Surviving blocks, in walk order; abutting ones share one scan.
+  for (std::size_t f = 0; f < width;) {
+    const std::uint32_t begin = frontier[f].begin;
+    std::uint32_t end = frontier[f].end;
+    while (++f < width && frontier[f].begin == end) end = frontier[f].end;
+    scan_range(cols_, begin, end, range, out);
+  }
+  return width;
+}
+
+void ColumnarRun::check_invariants() const {
+  if (levels_.empty() || levels_.back().empty()) {
+    throw std::logic_error("ColumnarRun: empty block index");
+  }
+  const auto outside = [](double v, float lo, float hi) {
+    return v < static_cast<double>(lo) || v > static_cast<double>(hi);
+  };
+  std::vector<ChildRange> ranges;
+  for (std::size_t l = 0; l < levels_.size(); ++l) {
+    ranges.clear();
+    for (const BlockEntry& e : levels_[l]) {
+      ranges.push_back(e.children);
+      if (e.children.end > (l == 0 ? size() : levels_[l - 1].size())) {
+        throw std::logic_error("ColumnarRun: child range out of bounds");
+      }
+      for (std::uint32_t i = e.children.begin; i < e.children.end; ++i) {
+        bool escapes = false;
+        if (l == 0) {
+          escapes =
+              outside(cols_.lng[i], e.min[0], e.max[0]) ||
+              outside(cols_.lat[i], e.min[1], e.max[1]) ||
+              ms_after(cols_.ts[i], ts_min_) < static_cast<double>(e.min[2]) ||
+              ms_after(cols_.te[i], ts_min_) > static_cast<double>(e.max[2]);
+        } else {
+          const BlockEntry& c = levels_[l - 1][i];
+          for (std::size_t d = 0; d < 3; ++d) {
+            escapes = escapes || c.min[d] < e.min[d] || c.max[d] > e.max[d];
+          }
+        }
+        if (escapes) {
+          throw std::logic_error("ColumnarRun: block box misses a child");
+        }
+      }
+    }
+    check_tiling(ranges, l == 0 ? size() : levels_[l - 1].size());
+  }
 }
 
 TieredFovIndex::TieredFovIndex(TieredFovIndexOptions options)
@@ -361,6 +537,7 @@ void TieredFovIndex::check_invariants() const {
         throw std::logic_error("TieredFovIndex: run time bound violated");
       }
     }
+    run->check_invariants();
   }
   if (alive_rows != live_) {
     throw std::logic_error("TieredFovIndex: live-row accounting mismatch");

@@ -3,10 +3,11 @@
 // Fresh representatives land in a small mutable columnar memtable; when it
 // reaches `memtable_capacity` rows it seals into an immutable ColumnarRun —
 // rows re-ordered by the RTree STR packer, stored as structure-of-arrays
-// columns (columnar.hpp), indexed by a bulk-loaded R-tree over row *blocks*
-// so the leaf-level range filter is a tight branch-minimal scan over
-// contiguous columns instead of a pointer-chasing node walk. A background
-// compactor (Checkpointer cadence) merges small runs into larger ones and
+// columns (columnar.hpp), indexed by a flat block index: one packed array
+// of 32-byte float boxes per level over row *blocks*, so the leaf-level
+// range filter is a tight branch-minimal scan over contiguous columns
+// instead of a pointer-chasing node walk. A background compactor
+// (Checkpointer cadence) merges small runs into larger ones and
 // garbage-collects tombstones.
 //
 // Because FoV timestamps are near-monotone (uploads arrive roughly in
@@ -30,10 +31,12 @@
 // Concurrency: one shared_mutex guards the mutable state (memtable, run
 // list, tombstone bitmap). Writers hold it exclusively only for the O(1)
 // column append or the O(runs) list swap; the expensive work — STR sort,
-// column materialization, bulk load — runs on sealed immutable buffers
-// outside any lock, so ingest never stalls behind a seal or a compaction
-// and queries never stall behind ingest for longer than an append.
+// column materialization, block-index build — runs on sealed immutable
+// buffers outside any lock, so ingest never stalls behind a seal or a
+// compaction and queries never stall behind ingest for longer than an
+// append.
 
+#include <array>
 #include <condition_variable>
 #include <cstdint>
 #include <memory>
@@ -41,12 +44,12 @@
 #include <shared_mutex>
 #include <span>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/fov.hpp"
 #include "index/columnar.hpp"
 #include "index/fov_index.hpp"
-#include "index/rtree.hpp"
 #include "obs/families.hpp"
 #include "obs/timer.hpp"
 #include "obs/trace.hpp"
@@ -64,8 +67,9 @@ struct TieredFovIndexOptions {
   /// Background compactor period; 0 = no thread, compact_now() only.
   /// CloudServer defaults this to the Checkpointer's cadence.
   std::uint32_t compact_interval_ms = 0;
-  /// R-tree packing (node capacity = columnar block size) and the
-  /// time-axis scaling shared with every other backend.
+  /// R-tree packing (node capacity = columnar block size and block-index
+  /// fanout) and the time-axis scaling of the STR row order, shared with
+  /// every other backend.
   FovIndexOptions index{};
 };
 
@@ -85,21 +89,29 @@ struct TieredStats {
   std::vector<RunStats> runs;    ///< in run-list order (oldest first)
 };
 
-/// An immutable sealed run: SoA columns in STR leaf order plus a
-/// bulk-loaded R-tree over [begin, end) row blocks. A block's box is the
-/// bound of its rows, so the tree descent prunes in node-box space and the
-/// per-block scan re-checks rows exactly (scan_range).
+/// An immutable sealed run: SoA columns in STR leaf order plus a flat block
+/// index over [begin, end) row blocks. A block's box bounds its rows, so
+/// the walk prunes in box space and the per-block scan re-checks rows
+/// exactly (scan_range).
 class ColumnarRun {
  public:
-  /// Row-block payload of the block tree: a half-open row range whose
-  /// rows are contiguous in the columns.
-  struct RowBlock {
+  /// A half-open range of entries in the level below (row ids at level 0).
+  struct ChildRange {
     std::uint32_t begin = 0;
     std::uint32_t end = 0;
   };
 
-  /// STR-sort `rows` (any order), materialize columns, bulk-load the
-  /// block tree. `rows` must be non-empty.
+  /// One block-index entry: a (lng, lat, time) box of floats — minimums
+  /// rounded down, maximums up, time in ms relative to ts_min() — over the
+  /// entries it covers in the level below.
+  struct BlockEntry {
+    std::array<float, 3> min{};
+    std::array<float, 3> max{};
+    ChildRange children;
+  };
+
+  /// STR-sort `rows` (any order), materialize columns, build the block
+  /// index. `rows` must be non-empty.
   static std::shared_ptr<const ColumnarRun> build(
       const FovColumns& rows, const FovIndexOptions& options);
 
@@ -109,31 +121,29 @@ class ColumnarRun {
   [[nodiscard]] core::TimestampMs ts_max() const noexcept { return ts_max_; }
 
   /// Append matching row ids to `out` (exact filter, tombstones NOT
-  /// consulted here — the owning index checks its bitmap).
-  void collect(const GeoTimeRange& range,
-               std::vector<std::uint32_t>& out) const {
-    geo::Box3 qbox;
-    qbox.min = {range.lng_min, range.lat_min,
-                static_cast<double>(range.t_start) * ms_to_units_};
-    qbox.max = {range.lng_max, range.lat_max,
-                static_cast<double>(range.t_end) * ms_to_units_};
-    tree_.query(qbox, [&](const geo::Box3&, const RowBlock& b) {
-      scan_range(cols_, b.begin, b.end, range, out);
-    });
-  }
+  /// consulted here — the owning index checks its bitmap). Walks the block
+  /// index top-down a level at a time, then scan_range's the surviving
+  /// blocks. Returns the number of blocks scanned.
+  std::size_t collect(const GeoTimeRange& range,
+                      std::vector<std::uint32_t>& out) const;
+
+  /// Every level-0 box contains its rows, every upper box its children,
+  /// and each level's child ranges tile the level below exactly. Throws
+  /// std::logic_error on violation.
+  void check_invariants() const;
 
  private:
-  ColumnarRun(FovColumns cols, RTree<RowBlock, 3> tree, double ms_to_units,
+  ColumnarRun(FovColumns cols, std::vector<std::vector<BlockEntry>> levels,
               core::TimestampMs ts_min, core::TimestampMs ts_max)
       : cols_(std::move(cols)),
-        tree_(std::move(tree)),
-        ms_to_units_(ms_to_units),
+        levels_(std::move(levels)),
         ts_min_(ts_min),
         ts_max_(ts_max) {}
 
   FovColumns cols_;
-  RTree<RowBlock, 3> tree_;
-  double ms_to_units_;
+  /// levels_[0] holds one entry per row block; each level above groups the
+  /// one below; the top level has at most max_entries entries.
+  std::vector<std::vector<BlockEntry>> levels_;
   core::TimestampMs ts_min_;
   core::TimestampMs ts_max_;
 };
@@ -165,7 +175,7 @@ class TieredFovIndex {
 
   /// Visit every live FoV intersecting the range: linear columnar scan of
   /// the memtable (and any in-flight sealed buffers), then each run whose
-  /// [ts_min, ts_max] overlaps the window — block-tree descent + per-block
+  /// [ts_min, ts_max] overlaps the window — block-index walk + per-block
   /// columnar scan_range. The visitor inlines; no type erasure.
   template <typename F>
   void query(const GeoTimeRange& range, F&& visit) const {
@@ -212,7 +222,7 @@ class TieredFovIndex {
   /// Structure introspection (row counts + [ts_min, ts_max] per run).
   [[nodiscard]] TieredStats run_stats() const;
 
-  /// Cross-tier accounting + per-run ordering invariants.
+  /// Cross-tier accounting, per-run time bounds and block indexes.
   void check_invariants() const;
 
  private:
@@ -223,7 +233,9 @@ class TieredFovIndex {
 
   /// The one row walk behind both queries: hands emit(cols, row) every
   /// live row intersecting the range, tier by tier, under the shared lock,
-  /// inside the `index.query` span and timer. Returns the rows emitted.
+  /// inside the `index.query` span and timer. The span carries the work:
+  /// `runs` in the list, `memtable_rows` scanned linearly (memtable plus
+  /// sealing buffers) and run `blocks` scanned. Returns the rows emitted.
   template <typename Emit>
   std::size_t walk(const GeoTimeRange& range, Emit&& emit) const {
     auto& m = obs::index_metrics();
@@ -233,6 +245,8 @@ class TieredFovIndex {
     m.queries.inc();
     std::vector<std::uint32_t>& rows = scratch();
     std::size_t live = 0;
+    std::size_t memtable_rows = 0;
+    std::size_t blocks = 0;
 
     std::shared_lock lock(mutex_);
     span.tag("runs", runs_.size());
@@ -246,6 +260,7 @@ class TieredFovIndex {
     // The memtable and in-flight sealed buffers: a linear scan each.
     const auto scan_all = [&](const FovColumns& cols) {
       rows.clear();
+      memtable_rows += cols.size();
       scan_range(cols, 0, static_cast<std::uint32_t>(cols.size()), range,
                  rows);
       emit_live(cols);
@@ -259,9 +274,11 @@ class TieredFovIndex {
       }
       rm.scans.inc();
       rows.clear();
-      run->collect(range, rows);
+      blocks += run->collect(range, rows);
       emit_live(run->cols());
     }
+    span.tag("memtable_rows", memtable_rows);
+    span.tag("blocks", blocks);
     return live;
   }
 

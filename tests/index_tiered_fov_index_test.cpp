@@ -8,6 +8,7 @@
 
 #include "index/fov_index.hpp"
 #include "obs/families.hpp"
+#include "obs/trace.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -244,6 +245,69 @@ TEST(TieredFovIndexTest, RunTimeTagsAreTight) {
     EXPECT_EQ(stats.runs[r].ts_min, lo);
     EXPECT_EQ(stats.runs[r].ts_max, hi);
   }
+}
+
+// The index.query span shows the walk's work: rows scanned linearly in the
+// memtable, and run blocks scanned after the block-index walk pruned the
+// rest.
+TEST(TieredFovIndexTest, QuerySpanCountsMemtableRowsAndBlocks) {
+  struct TraceEvery {
+    TraceEvery() {
+      svg::obs::TracerConfig cfg;
+      cfg.enabled = true;
+      cfg.sample_every = 1;
+      svg::obs::tracer().configure(cfg);
+    }
+    ~TraceEvery() { svg::obs::tracer().configure({}); }
+  } const trace_every;
+  // One 64-row run (four 16-row blocks), then 10 rows in the memtable.
+  TieredFovIndex idx({.memtable_capacity = 64});
+  RepresentativeFov r;
+  for (std::uint32_t i = 0; i < 74; ++i) {
+    r.segment_id = i;
+    r.fov.p = {39.9 + 0.001 * i, 116.4};
+    r.t_start = 1'000 + i;
+    r.t_end = r.t_start + 10;
+    idx.insert(r);
+  }
+  ASSERT_EQ(idx.run_stats().runs.size(), 1u);
+  ASSERT_EQ(idx.run_stats().memtable_rows, 10u);
+
+  struct Tags {
+    std::uint64_t runs = 0, memtable_rows = 0, blocks = 0;
+  };
+  const auto traced = [&](const GeoTimeRange& range, std::size_t& hits) {
+    Tags t;
+    std::uint64_t trace_id = 0;
+    {
+      auto root = svg::obs::tracer().root_span("test.query");
+      trace_id = root.trace_id();
+      hits = idx.query_collect(range).size();
+    }
+    const auto stored = svg::obs::tracer().find_trace(trace_id);
+    EXPECT_FALSE(stored.empty());
+    if (stored.empty()) return t;
+    const svg::obs::SpanRecord* span = stored[0]->find("index.query");
+    EXPECT_NE(span, nullptr);
+    if (span == nullptr) return t;
+    EXPECT_TRUE(span->tag("runs", t.runs));
+    EXPECT_TRUE(span->tag("memtable_rows", t.memtable_rows));
+    EXPECT_TRUE(span->tag("blocks", t.blocks));
+    return t;
+  };
+
+  std::size_t hits = 0;
+  // Everything: the memtable's 10 rows and all 4 blocks scanned.
+  const Tags all = traced({116.0, 117.0, 39.0, 41.0, 0, 10'000}, hits);
+  EXPECT_EQ(hits, 74u);
+  EXPECT_EQ(all.runs, 1u);
+  EXPECT_EQ(all.memtable_rows, 10u);
+  EXPECT_EQ(all.blocks, 4u);
+  // A box west of every row: the memtable is still scanned, no block is.
+  const Tags none = traced({115.0, 115.5, 39.0, 41.0, 0, 10'000}, hits);
+  EXPECT_EQ(hits, 0u);
+  EXPECT_EQ(none.memtable_rows, 10u);
+  EXPECT_EQ(none.blocks, 0u);
 }
 
 }  // namespace
