@@ -75,7 +75,8 @@ int main() {
     const auto results = server.search(query);
     total_results += results.size();
     const auto clips =
-        coordinator.fetch_all(results, 3, query.t_start, query.t_end);
+        coordinator.fetch_all(results, {}, 3, query.t_start, query.t_end)
+            .clips;
     for (std::size_t i = 0; i < std::min<std::size_t>(3, results.size());
          ++i) {
       if (const auto* v =

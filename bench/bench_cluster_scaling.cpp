@@ -25,9 +25,13 @@
 // real deployment, so they compose by max, not sum (on the single side
 // the formula degenerates to the plain measured total). The bar: growing
 // the corpus 4x along the retention axis must not cost more than 3x at
-// p99 — the 3-D (lng, lat, time) R-tree prunes the query window inside
-// the tree, so per-leg work stays near the single node's and the rest is
-// fan-out overhead.
+// p99. Each node's TieredFovIndex never compacts (in-memory servers), so
+// it holds a few sealed runs and a memtable. Capture times are uniform
+// over the retention window, so every run's [ts_min, ts_max] tag spans
+// all of it and skips nothing, and the memtable is scanned whole; the
+// pruning is each run's flat block index, whose (lng, lat, time) boxes
+// skip every row block the query window misses. So per-leg work stays
+// near the single node's and the rest is fan-out overhead.
 //
 // Flags: --uploads N (per node-corpus) --segments N --queries N
 // --json (the generator for BENCH_cluster.json) --gate (exit 1 unless
@@ -395,9 +399,13 @@ int main(int argc, char** argv) {
             << "\nReading: ingest scales with aggregate uplink bandwidth — "
                "the busiest of 4 per-node links carries about a quarter of "
                "the bytes one link would, minus hash imbalance and "
-               "sub-upload framing. Query p99 holds because the 3-D R-tree "
-               "prunes the 1-hour window inside the tree: 4x retention "
-               "means deeper trees, not 4x candidates, and fan-out legs "
-               "compose by max (distinct machines), not sum.\n";
+               "sub-upload framing. Query p99 holds because each node's "
+               "runs prune the 1-hour window in their flat block indexes, "
+               "whose (lng, lat, time) boxes skip every row block it "
+               "misses (capture times are uniform, so no run's "
+               "[ts_min, ts_max] tag skips a whole run): 4x retention at "
+               "equal rows per node means the same blocks to walk, not 4x "
+               "candidates, and fan-out legs compose by max (distinct "
+               "machines), not sum.\n";
   return rc;
 }

@@ -206,9 +206,7 @@ struct KernelFixture {
     const auto reps = sim::random_representative_fovs(
         n, city, 1'400'000'000'000, 24LL * 3600 * 1000, rng);
     cols.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      cols.push_back(reps[i], static_cast<index::FovHandle>(i));
-    }
+    for (const auto& rep : reps) cols.push_back(rep);
     rows = reps;
     // ~1 km box, ~7 h window: enough survivors that the append path is
     // exercised, enough misses that the predicate actually filters.

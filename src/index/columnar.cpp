@@ -18,10 +18,9 @@ void FovColumns::reserve(std::size_t n) {
   te.reserve(n);
   video_id.reserve(n);
   segment_id.reserve(n);
-  handle.reserve(n);
 }
 
-void FovColumns::push_back(const core::RepresentativeFov& rep, FovHandle h) {
+void FovColumns::push_back(const core::RepresentativeFov& rep) {
   lng.push_back(rep.fov.p.lng);
   lat.push_back(rep.fov.p.lat);
   theta.push_back(rep.fov.theta_deg);
@@ -34,7 +33,6 @@ void FovColumns::push_back(const core::RepresentativeFov& rep, FovHandle h) {
   te.push_back(rep.t_end);
   video_id.push_back(rep.video_id);
   segment_id.push_back(rep.segment_id);
-  handle.push_back(h);
 }
 
 std::size_t scan_range(const FovColumns& cols, std::uint32_t begin,

@@ -4,7 +4,8 @@
 // (tiered_fov_index.hpp) lay their rows out in STR leaf order inside these
 // columns, so the range test — and the orientation test on the rows it
 // returns (sight_at) — read contiguous doubles instead of pointer-chasing
-// AoS R-tree entries.
+// AoS R-tree entries. The index is insert-only, so a row is its 68 bytes
+// of FoV fields and nothing else: no per-row handle, no liveness flag.
 //
 // scan_range compares the lng/lat of two rows at once (one SSE2
 // _mm_cmpge_pd/_mm_cmple_pd per bound, folded by _mm_movemask_pd), reads
@@ -23,8 +24,7 @@
 namespace svg::index {
 
 /// Column arena: one contiguous array per field. Row i across all columns
-/// is one representative FoV; `handle` carries the owning index's stable
-/// per-entry id so erasure tombstones can be consulted during scans.
+/// is one representative FoV; rows are only ever appended.
 struct FovColumns {
   std::vector<double> lng;
   std::vector<double> lat;
@@ -37,13 +37,12 @@ struct FovColumns {
   std::vector<core::TimestampMs> te;
   std::vector<std::uint64_t> video_id;
   std::vector<std::uint32_t> segment_id;
-  std::vector<FovHandle> handle;
 
   [[nodiscard]] std::size_t size() const noexcept { return lng.size(); }
   [[nodiscard]] bool empty() const noexcept { return lng.empty(); }
 
   void reserve(std::size_t n);
-  void push_back(const core::RepresentativeFov& rep, FovHandle h);
+  void push_back(const core::RepresentativeFov& rep);
 
   [[nodiscard]] core::RepresentativeFov rep_at(std::size_t i) const {
     core::RepresentativeFov r;

@@ -104,11 +104,6 @@ class RTree {
     return options_;
   }
 
-  void clear() {
-    root_.reset();
-    size_ = 0;
-  }
-
   /// Insert a (box, value) pair. O(M log_M n).
   void insert(const BoxN& box, T value) {
     if (!root_) {
@@ -155,15 +150,6 @@ class RTree {
     std::size_t visited = 0;
     if (root_) query_impl(root_.get(), query, visit, visited);
     boxes_visited_.store(visited, std::memory_order_relaxed);
-  }
-
-  /// Convenience: collect intersecting entries.
-  [[nodiscard]] std::vector<Entry> query_collect(const BoxN& query) const {
-    std::vector<Entry> out;
-    query(query, [&](const BoxN& b, const T& v) {
-      out.push_back(Entry{b, v});
-    });
-    return out;
   }
 
   [[nodiscard]] RTreeStats stats() const {
@@ -299,13 +285,13 @@ class RTree {
     std::vector<Node*> path;
     Node* leaf = choose_node(entry.box, /*target_height=*/0, path);
     leaf->entries.push_back(std::move(entry));
-    recompute_leafward_box(leaf);
     maybe_split_up(leaf, path);
   }
 
   /// Descend by least volume enlargement (ties: smaller volume) to the node
   /// at `target_height`, expanding cached boxes along the way (AdjustTree's
-  /// growth direction handled eagerly).
+  /// growth direction handled eagerly, so a new entry needs no upward box
+  /// pass).
   Node* choose_node(const BoxN& box, int target_height,
                     std::vector<Node*>& path) {
     Node* node = root_.get();
@@ -329,12 +315,6 @@ class RTree {
       node->box.expand(box);
     }
     return node;
-  }
-
-  void recompute_leafward_box(Node* leaf) {
-    // After a raw push the eager expansion already covers the new entry;
-    // nothing to do. Kept as a named hook for clarity/symmetry.
-    (void)leaf;
   }
 
   void maybe_split_up(Node* node, std::vector<Node*>& path) {

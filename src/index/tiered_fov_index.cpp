@@ -25,7 +25,6 @@ void append_row(FovColumns& dst, const FovColumns& src, std::size_t i) {
   dst.te.push_back(src.te[i]);
   dst.video_id.push_back(src.video_id[i]);
   dst.segment_id.push_back(src.segment_id[i]);
-  dst.handle.push_back(src.handle[i]);
 }
 
 using BlockEntry = ColumnarRun::BlockEntry;
@@ -289,12 +288,9 @@ TieredFovIndex::~TieredFovIndex() {
   }
 }
 
-FovHandle TieredFovIndex::append_locked(const core::RepresentativeFov& rep) {
-  const auto h = static_cast<FovHandle>(alive_.size());
-  alive_.push_back(1);
-  ++live_;
-  memtable_.push_back(rep, h);
-  return h;
+void TieredFovIndex::append_locked(const core::RepresentativeFov& rep) {
+  memtable_.push_back(rep);
+  ++rows_;
 }
 
 std::shared_ptr<const FovColumns> TieredFovIndex::maybe_seal_locked() {
@@ -329,24 +325,22 @@ void TieredFovIndex::build_and_publish(
   rm.rows.set(static_cast<std::int64_t>(run_rows));
 }
 
-FovHandle TieredFovIndex::insert(const core::RepresentativeFov& rep) {
+void TieredFovIndex::insert(const core::RepresentativeFov& rep) {
   auto& m = obs::index_metrics();
   obs::ScopedTimer timer(m.insert_ns);
   std::shared_ptr<const FovColumns> sealed;
-  FovHandle h;
   std::size_t memtable_rows;
   {
     std::unique_lock lock(mutex_);
-    h = append_locked(rep);
+    append_locked(rep);
     sealed = maybe_seal_locked();
     memtable_rows = memtable_.size();
-    m.size.set(static_cast<std::int64_t>(live_));
+    m.size.set(static_cast<std::int64_t>(rows_));
   }
   m.inserts.inc();
   obs::index_run_metrics().memtable_rows.set(
       static_cast<std::int64_t>(memtable_rows));
   if (sealed) build_and_publish(sealed);
-  return h;
 }
 
 void TieredFovIndex::insert_batch(
@@ -368,24 +362,13 @@ void TieredFovIndex::insert_batch(
       }
       sealed = maybe_seal_locked();
       memtable_rows = memtable_.size();
-      m.size.set(static_cast<std::int64_t>(live_));
+      m.size.set(static_cast<std::int64_t>(rows_));
     }
     if (sealed) build_and_publish(sealed);
   }
   m.inserts.inc(reps.size());
   obs::index_run_metrics().memtable_rows.set(
       static_cast<std::int64_t>(memtable_rows));
-}
-
-bool TieredFovIndex::erase(FovHandle handle) {
-  auto& m = obs::index_metrics();
-  std::unique_lock lock(mutex_);
-  if (handle >= alive_.size() || alive_[handle] == 0) return false;
-  alive_[handle] = 0;
-  --live_;
-  m.erases.inc();
-  m.size.set(static_cast<std::int64_t>(live_));
-  return true;
 }
 
 std::vector<core::RepresentativeFov> TieredFovIndex::query_collect(
@@ -398,18 +381,15 @@ std::vector<core::RepresentativeFov> TieredFovIndex::query_collect(
 
 std::size_t TieredFovIndex::size() const {
   std::shared_lock lock(mutex_);
-  return live_;
+  return rows_;
 }
 
 std::vector<core::RepresentativeFov> TieredFovIndex::snapshot() const {
   std::shared_lock lock(mutex_);
   std::vector<core::RepresentativeFov> out;
-  out.reserve(live_);
+  out.reserve(rows_);
   const auto collect = [&](const FovColumns& cols) {
-    for (std::size_t i = 0; i < cols.size(); ++i) {
-      if (alive_[cols.handle[i]] == 0) continue;
-      out.push_back(cols.rep_at(i));
-    }
+    for (std::size_t i = 0; i < cols.size(); ++i) out.push_back(cols.rep_at(i));
   };
   collect(memtable_);
   for (const auto& sealed : sealing_) collect(*sealed);
@@ -422,9 +402,9 @@ std::size_t TieredFovIndex::compact_now(bool full) {
   auto& cm = obs::index_compaction_metrics();
   auto& rm = obs::index_run_metrics();
 
-  // Pick the inputs (smallest first) and copy their live rows while
-  // holding the lock shared — row copies are cheap sequential reads and
-  // never block other readers, only (briefly) writers.
+  // Pick the inputs (smallest first) and copy their rows while holding
+  // the lock shared — row copies are cheap sequential reads and never
+  // block other readers, only (briefly) writers.
   std::vector<std::shared_ptr<const ColumnarRun>> inputs;
   FovColumns merged;
   std::size_t input_rows = 0;
@@ -443,9 +423,7 @@ std::size_t TieredFovIndex::compact_now(bool full) {
     for (const auto& run : inputs) {
       const FovColumns& cols = run->cols();
       for (std::size_t i = 0; i < cols.size(); ++i) {
-        // Rows tombstoned at copy time are dropped for good; later erases
-        // stay guarded by the bitmap until the next round.
-        if (alive_[cols.handle[i]] != 0) append_row(merged, cols, i);
+        append_row(merged, cols, i);
       }
     }
   }
@@ -455,10 +433,7 @@ std::size_t TieredFovIndex::compact_now(bool full) {
   span.tag("input_rows", input_rows);
   obs::ScopedTimer timer(cm.compact_ns, span.trace_id());
 
-  std::shared_ptr<const ColumnarRun> replacement;
-  if (!merged.empty()) {
-    replacement = ColumnarRun::build(merged, options_.index);
-  }
+  auto replacement = ColumnarRun::build(merged, options_.index);
 
   std::size_t run_rows = 0;
   {
@@ -469,7 +444,7 @@ std::size_t TieredFovIndex::compact_now(bool full) {
     std::erase_if(runs_, [&](const auto& r) {
       return std::find(inputs.begin(), inputs.end(), r) != inputs.end();
     });
-    if (replacement) runs_.push_back(replacement);
+    runs_.push_back(std::move(replacement));
     ++compactions_;
     for (const auto& r : runs_) run_rows += r->size();
     rm.count.set(static_cast<std::int64_t>(runs_.size()));
@@ -477,7 +452,6 @@ std::size_t TieredFovIndex::compact_now(bool full) {
   cm.compactions.inc();
   cm.input_runs.inc(inputs.size());
   cm.output_rows.inc(merged.size());
-  cm.dropped_tombstones.inc(input_rows - merged.size());
   rm.rows.set(static_cast<std::int64_t>(run_rows));
   return inputs.size();
 }
@@ -514,23 +488,9 @@ TieredStats TieredFovIndex::run_stats() const {
 void TieredFovIndex::check_invariants() const {
   std::shared_lock lock(mutex_);
   std::size_t rows = memtable_.size();
-  std::size_t alive_rows = 0;
-  const auto count_alive = [&](const FovColumns& cols) {
-    for (std::size_t i = 0; i < cols.size(); ++i) {
-      if (cols.handle[i] >= alive_.size()) {
-        throw std::logic_error("TieredFovIndex: handle out of range");
-      }
-      if (alive_[cols.handle[i]] != 0) ++alive_rows;
-    }
-  };
-  count_alive(memtable_);
-  for (const auto& sealed : sealing_) {
-    rows += sealed->size();
-    count_alive(*sealed);
-  }
+  for (const auto& sealed : sealing_) rows += sealed->size();
   for (const auto& run : runs_) {
     rows += run->size();
-    count_alive(run->cols());
     const FovColumns& cols = run->cols();
     for (std::size_t i = 0; i < cols.size(); ++i) {
       if (cols.ts[i] < run->ts_min() || cols.te[i] > run->ts_max()) {
@@ -539,11 +499,8 @@ void TieredFovIndex::check_invariants() const {
     }
     run->check_invariants();
   }
-  if (alive_rows != live_) {
-    throw std::logic_error("TieredFovIndex: live-row accounting mismatch");
-  }
-  if (rows > alive_.size()) {
-    throw std::logic_error("TieredFovIndex: more rows stored than handles");
+  if (rows != rows_) {
+    throw std::logic_error("TieredFovIndex: row accounting mismatch");
   }
 }
 

@@ -7,8 +7,12 @@
 // of 32-byte float boxes per level over row *blocks*, so the leaf-level
 // range filter is a tight branch-minimal scan over contiguous columns
 // instead of a pointer-chasing node walk. A background compactor
-// (Checkpointer cadence) merges small runs into larger ones and
-// garbage-collects tombstones.
+// (Checkpointer cadence) merges small runs into larger ones.
+//
+// The index is insert-only, like the paper's server, which only adds FoVs:
+// a row sits in exactly one tier (memtable, sealing buffer or run) from its
+// insert on, and a merge moves it without ever dropping it. Retention, if
+// it is ever wanted, would drop whole runs, never single rows.
 //
 // Because FoV timestamps are near-monotone (uploads arrive roughly in
 // capture order), each run carries its [ts_min, ts_max]: a query with a
@@ -22,14 +26,14 @@
 // where boundary determinism matters and drive compact_now() manually.
 //
 // CloudServer's only index. Satisfies the index concept RetrievalEngine
-// templates over: insert / insert_batch / erase / size / snapshot /
+// templates over: insert / insert_batch / size / snapshot /
 // query(GeoTimeRange, visitor), plus query(GeoTimeRange, SightTest,
 // visitor), which runs the engine's orientation test on the columns so
 // only surviving rows materialize. Feeds the svg_index_* family plus
 // svg_index_run_* (seal/run lifecycle) and svg_index_compaction_*.
 //
-// Concurrency: one shared_mutex guards the mutable state (memtable, run
-// list, tombstone bitmap). Writers hold it exclusively only for the O(1)
+// Concurrency: one shared_mutex guards the mutable state (memtable,
+// sealing buffers, run list). Writers hold it exclusively only for the O(1)
 // column append or the O(runs) list swap; the expensive work — STR sort,
 // column materialization, block-index build — runs on sealed immutable
 // buffers outside any lock, so ingest never stalls behind a seal or a
@@ -120,8 +124,7 @@ class ColumnarRun {
   [[nodiscard]] core::TimestampMs ts_min() const noexcept { return ts_min_; }
   [[nodiscard]] core::TimestampMs ts_max() const noexcept { return ts_max_; }
 
-  /// Append matching row ids to `out` (exact filter, tombstones NOT
-  /// consulted here — the owning index checks its bitmap). Walks the block
+  /// Append matching row ids to `out` (exact filter). Walks the block
   /// index top-down a level at a time, then scan_range's the surviving
   /// blocks. Returns the number of blocks scanned.
   std::size_t collect(const GeoTimeRange& range,
@@ -162,18 +165,13 @@ class TieredFovIndex {
 
   /// Insert one representative FoV. O(1) append; at the seal threshold the
   /// inserting thread additionally packs the sealed buffer into a run
-  /// outside the lock. Returns a handle for erase().
-  FovHandle insert(const core::RepresentativeFov& rep);
+  /// outside the lock.
+  void insert(const core::RepresentativeFov& rep);
 
   /// Insert an upload burst under one lock acquisition per seal interval.
   void insert_batch(std::span<const core::RepresentativeFov> reps);
 
-  /// Tombstone a previously inserted FoV (the row is dropped physically at
-  /// the next compaction touching its run). False for unknown/stale
-  /// handles.
-  bool erase(FovHandle handle);
-
-  /// Visit every live FoV intersecting the range: linear columnar scan of
+  /// Visit every FoV intersecting the range: linear columnar scan of
   /// the memtable (and any in-flight sealed buffers), then each run whose
   /// [ts_min, ts_max] overlaps the window — block-index walk + per-block
   /// columnar scan_range. The visitor inlines; no type erasure.
@@ -186,8 +184,8 @@ class TieredFovIndex {
 
   /// The same walk narrowed to the cameras that see `test`'s target: the
   /// orientation test (geo::sight) runs on the position and heading
-  /// columns of each live in-range row, and only survivors materialize —
-  /// visit(rep, distance_m). Returns the number of live in-range rows (the
+  /// columns of each in-range row, and only survivors materialize —
+  /// visit(rep, distance_m). Returns the number of in-range rows (the
   /// retrieval funnel's `candidates`).
   template <typename F>
   std::size_t query(const GeoTimeRange& range, const geo::SightTest& test,
@@ -202,17 +200,17 @@ class TieredFovIndex {
   [[nodiscard]] std::vector<core::RepresentativeFov> query_collect(
       const GeoTimeRange& range) const;
 
-  /// Live entries across all tiers.
+  /// Rows across all tiers: every FoV inserted so far.
   [[nodiscard]] std::size_t size() const;
 
-  /// Point-in-time copy of every live FoV. Order is memtable insertion
+  /// Point-in-time copy of every FoV. Order is memtable insertion
   /// order followed by runs in STR order — treat the result as a set.
   [[nodiscard]] std::vector<core::RepresentativeFov> snapshot() const;
 
   /// One compaction round: merge the smallest `compact_fanin` runs (all
-  /// runs when `full`), dropping tombstoned rows. The merge reads and
-  /// packs outside the lock; only the run-list swap is exclusive. Returns
-  /// the number of input runs merged (0 = nothing to do).
+  /// runs when `full`) into one. The merge packs outside the lock; only
+  /// the run-list swap is exclusive. Returns the number of input runs
+  /// merged (0 = nothing to do).
   std::size_t compact_now(bool full = false);
 
   /// Seal the current memtable into a run even if below capacity (svgctl
@@ -232,7 +230,7 @@ class TieredFovIndex {
   }
 
   /// The one row walk behind both queries: hands emit(cols, row) every
-  /// live row intersecting the range, tier by tier, under the shared lock,
+  /// row intersecting the range, tier by tier, under the shared lock,
   /// inside the `index.query` span and timer. The span carries the work:
   /// `runs` in the list, `memtable_rows` scanned linearly (memtable plus
   /// sealing buffers) and run `blocks` scanned. Returns the rows emitted.
@@ -244,18 +242,15 @@ class TieredFovIndex {
     obs::ScopedTimer timer(m.query_ns, span.trace_id());
     m.queries.inc();
     std::vector<std::uint32_t>& rows = scratch();
-    std::size_t live = 0;
+    std::size_t hits = 0;
     std::size_t memtable_rows = 0;
     std::size_t blocks = 0;
 
     std::shared_lock lock(mutex_);
     span.tag("runs", runs_.size());
-    const auto emit_live = [&](const FovColumns& cols) {
-      for (const std::uint32_t r : rows) {
-        if (alive_[cols.handle[r]] == 0) continue;
-        ++live;
-        emit(cols, r);
-      }
+    const auto emit_all = [&](const FovColumns& cols) {
+      for (const std::uint32_t r : rows) emit(cols, r);
+      hits += rows.size();
     };
     // The memtable and in-flight sealed buffers: a linear scan each.
     const auto scan_all = [&](const FovColumns& cols) {
@@ -263,7 +258,7 @@ class TieredFovIndex {
       memtable_rows += cols.size();
       scan_range(cols, 0, static_cast<std::uint32_t>(cols.size()), range,
                  rows);
-      emit_live(cols);
+      emit_all(cols);
     };
     scan_all(memtable_);
     for (const auto& sealed : sealing_) scan_all(*sealed);
@@ -275,15 +270,15 @@ class TieredFovIndex {
       rm.scans.inc();
       rows.clear();
       blocks += run->collect(range, rows);
-      emit_live(run->cols());
+      emit_all(run->cols());
     }
     span.tag("memtable_rows", memtable_rows);
     span.tag("blocks", blocks);
-    return live;
+    return hits;
   }
 
-  /// Append under an already-held exclusive lock; returns the new handle.
-  FovHandle append_locked(const core::RepresentativeFov& rep);
+  /// Append under an already-held exclusive lock.
+  void append_locked(const core::RepresentativeFov& rep);
   /// At/above capacity: move the memtable into sealing_ (still queryable)
   /// and hand it back for packing; nullptr below the threshold.
   std::shared_ptr<const FovColumns> maybe_seal_locked();
@@ -299,10 +294,8 @@ class TieredFovIndex {
   /// visible to queries via linear scan until the run replaces them.
   std::vector<std::shared_ptr<const FovColumns>> sealing_;
   std::vector<std::shared_ptr<const ColumnarRun>> runs_;
-  /// Tombstone bitmap indexed by handle; source of truth for liveness
-  /// (runs may physically retain dead rows until compaction).
-  std::vector<std::uint8_t> alive_;
-  std::size_t live_ = 0;
+  /// Rows across the memtable, sealing buffers and runs: one per insert.
+  std::size_t rows_ = 0;
   std::uint64_t seals_ = 0;
   std::uint64_t compactions_ = 0;
 

@@ -106,66 +106,14 @@ void FetchCoordinator::register_provider(std::uint64_t video_id,
 void FetchCoordinator::register_provider(std::uint64_t video_id,
                                          const media::VideoStore* store,
                                          FaultyLink* link) {
-  providers_[video_id] = Provider{store, &link->inner(), link};
-}
-
-std::optional<media::Clip> FetchCoordinator::fetch(
-    const retrieval::RankedResult& result, core::TimestampMs window_start,
-    core::TimestampMs window_end) {
-  const auto it = providers_.find(result.rep.video_id);
-  if (it == providers_.end()) {
-    ++stats_.clips_missing;
-    return std::nullopt;
-  }
-  const Provider& p = it->second;
-
-  ClipRequest req;
-  req.video_id = result.rep.video_id;
-  req.t_start = result.rep.t_start;
-  req.t_end = result.rep.t_end;
-  if (window_end > window_start) {
-    req.t_start = std::max(req.t_start, window_start);
-    req.t_end = std::min(req.t_end, window_end);
-    if (req.t_end < req.t_start) req.t_end = req.t_start;
-  }
-  const auto req_bytes = encode_clip_request(req);
-  stats_.fetch_time_ms += p.link->send_down(req_bytes.size());
-
-  const auto resp_bytes = serve_clip_request(*p.store, req_bytes);
-  stats_.fetch_time_ms += p.link->send_up(resp_bytes.size());
-
-  const auto resp = decode_clip_response(resp_bytes);
-  if (!resp || !resp->found) {
-    ++stats_.clips_missing;
-    return std::nullopt;
-  }
-  ++stats_.clips_fetched;
-  stats_.clip_bytes += resp->clip.size_bytes();
-  if (const auto* video = p.store->find(req.video_id)) {
-    stats_.full_video_bytes += video->total_bytes();
-  }
-  return resp->clip;
-}
-
-std::vector<media::Clip> FetchCoordinator::fetch_all(
-    std::span<const retrieval::RankedResult> results, std::size_t limit,
-    core::TimestampMs window_start, core::TimestampMs window_end) {
-  std::vector<media::Clip> clips;
-  const std::size_t n =
-      limit == 0 ? results.size() : std::min(limit, results.size());
-  for (std::size_t i = 0; i < n; ++i) {
-    if (auto clip = fetch(results[i], window_start, window_end)) {
-      clips.push_back(std::move(*clip));
-    }
-  }
-  return clips;
+  providers_[video_id] = Provider{store, nullptr, link};
 }
 
 std::optional<ClipResponse> FetchCoordinator::exchange(
     const Provider& p, const ClipRequest& req) {
   const auto req_bytes = encode_clip_request(req);
   if (p.faulty == nullptr) {
-    // Reliable link: exactly the plain fetch() exchange.
+    // Reliable link: one request down, one response up.
     stats_.fetch_time_ms += p.link->send_down(req_bytes.size());
     const auto resp_bytes = serve_clip_request(*p.store, req_bytes);
     stats_.fetch_time_ms += p.link->send_up(resp_bytes.size());
@@ -191,7 +139,7 @@ std::optional<ClipResponse> FetchCoordinator::exchange(
   return result;
 }
 
-std::optional<media::Clip> FetchCoordinator::fetch_degraded(
+std::optional<media::Clip> FetchCoordinator::fetch(
     const retrieval::RankedResult& result, const FetchPolicy& policy,
     MissingClip* missing_out, core::TimestampMs window_start,
     core::TimestampMs window_end) {
@@ -276,7 +224,7 @@ std::optional<media::Clip> FetchCoordinator::fetch_degraded(
   return std::nullopt;
 }
 
-FetchReport FetchCoordinator::fetch_all_degraded(
+FetchReport FetchCoordinator::fetch_all(
     std::span<const retrieval::RankedResult> results,
     const FetchPolicy& policy, std::size_t limit,
     core::TimestampMs window_start, core::TimestampMs window_end) {
@@ -285,8 +233,8 @@ FetchReport FetchCoordinator::fetch_all_degraded(
       limit == 0 ? results.size() : std::min(limit, results.size());
   for (std::size_t i = 0; i < n; ++i) {
     MissingClip miss;
-    if (auto clip = fetch_degraded(results[i], policy, &miss, window_start,
-                                   window_end)) {
+    if (auto clip = fetch(results[i], policy, &miss, window_start,
+                          window_end)) {
       report.clips.push_back(std::move(*clip));
     } else {
       report.missing.push_back(miss);

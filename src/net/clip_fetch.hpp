@@ -6,8 +6,9 @@
 //
 // Wire messages: ClipRequest(video_id, t0, t1) → ClipResponse(clip meta +
 // payload). The FetchCoordinator resolves video ids to provider devices,
-// runs the exchange across per-provider links, and accounts the traffic —
-// including the counterfactual full-video bytes for comparison.
+// runs the exchange across per-provider links — retrying under a deadline
+// when the link is lossy — and accounts the traffic, including the
+// counterfactual full-video bytes for comparison.
 
 #include <cstdint>
 #include <map>
@@ -58,12 +59,12 @@ struct FetchStats {
   std::uint64_t clip_bytes = 0;       ///< what actually crossed the links
   std::uint64_t full_video_bytes = 0; ///< counterfactual: whole recordings
   double fetch_time_ms = 0.0;         ///< simulated link time
-  std::uint64_t attempts = 0;         ///< degraded-path exchanges tried
-  std::uint64_t retries = 0;          ///< degraded-path re-tries
+  std::uint64_t attempts = 0;         ///< exchanges tried
+  std::uint64_t retries = 0;          ///< exchanges after a clip's first
   std::uint64_t timeouts = 0;         ///< attempts with no usable response
 };
 
-/// Retry/deadline policy for degraded fetch over a lossy link. Backoff is
+/// Retry/deadline policy for a clip fetch over a lossy link. Backoff is
 /// capped-exponential without jitter (per-clip exchanges are serial; the
 /// thundering-herd concern behind upload jitter does not apply).
 struct FetchPolicy {
@@ -82,7 +83,7 @@ enum class FetchFailure : std::uint8_t {
   kTimedOut,         ///< retries/deadline exhausted without a response
 };
 
-/// One result the degraded fetch could not satisfy — flagged, not fatal.
+/// One result the fetch could not satisfy — flagged, not fatal.
 struct MissingClip {
   std::uint64_t video_id = 0;
   std::uint32_t segment_id = 0;
@@ -90,8 +91,8 @@ struct MissingClip {
   std::uint32_t attempts = 0;
 };
 
-/// Partial result of a degraded fetch: what arrived, plus an explicit
-/// account of every clip that did not (instead of failing the query).
+/// Result of fetch_all: what arrived, plus an explicit account of every
+/// clip that did not (instead of failing the query).
 struct FetchReport {
   std::vector<media::Clip> clips;
   std::vector<MissingClip> missing;
@@ -102,47 +103,34 @@ struct FetchReport {
 /// from its provider over that provider's link.
 class FetchCoordinator {
  public:
-  /// Register a provider device (its store and its uplink).
+  /// Register a provider device (its store and its uplink). A plain Link
+  /// never loses a message, so each fetch from it takes one exchange.
   void register_provider(std::uint64_t video_id,
                          const media::VideoStore* store, Link* link);
 
-  /// Register a provider reachable only through a faulty link; degraded
-  /// fetches route the exchange through it (and the plain fetch() path
-  /// uses its inner link, faults not applied).
+  /// Register a provider reachable only through a faulty link: every
+  /// exchange goes through it, faults applied, and lost or corrupted
+  /// exchanges are retried under the FetchPolicy.
   void register_provider(std::uint64_t video_id,
                          const media::VideoStore* store, FaultyLink* link);
 
-  /// Fetch the clip for one result. When a query window is given, the
-  /// request is clamped to segment ∩ window — a segment can be much
+  /// Fetch the clip for one result, with per-attempt timeouts, capped
+  /// backoff and a per-request deadline. When a query window is given,
+  /// the request is clamped to segment ∩ window — a segment can be much
   /// longer than the minute the inquirer cares about (a stationary
   /// camera's whole recording is one segment), and there is no reason to
-  /// move those extra GOPs. nullopt when the provider is unknown or no
-  /// longer has the video.
+  /// move those extra GOPs. nullopt means the clip could not be fetched;
+  /// when `missing_out` is non-null it receives the reason and attempt
+  /// count.
   [[nodiscard]] std::optional<media::Clip> fetch(
-      const retrieval::RankedResult& result,
-      core::TimestampMs window_start = 0,
-      core::TimestampMs window_end = 0);
-
-  /// Fetch the top `limit` results' clips (all when limit = 0),
-  /// optionally clamped to the query window.
-  [[nodiscard]] std::vector<media::Clip> fetch_all(
-      std::span<const retrieval::RankedResult> results,
-      std::size_t limit = 0, core::TimestampMs window_start = 0,
-      core::TimestampMs window_end = 0);
-
-  /// Fetch one clip with per-attempt timeouts, capped backoff and a
-  /// per-request deadline — the lossy-link path. nullopt means the clip
-  /// could not be fetched; when `missing_out` is non-null it receives the
-  /// reason and attempt count.
-  [[nodiscard]] std::optional<media::Clip> fetch_degraded(
       const retrieval::RankedResult& result, const FetchPolicy& policy = {},
       MissingClip* missing_out = nullptr, core::TimestampMs window_start = 0,
       core::TimestampMs window_end = 0);
 
-  /// Degraded fetch over the top `limit` results (all when limit = 0):
-  /// partial results with every unfetchable clip explicitly flagged,
-  /// never a failed query.
-  [[nodiscard]] FetchReport fetch_all_degraded(
+  /// Fetch over the top `limit` results (all when limit = 0), optionally
+  /// clamped to the query window: partial results with every unfetchable
+  /// clip explicitly flagged, never a failed query.
+  [[nodiscard]] FetchReport fetch_all(
       std::span<const retrieval::RankedResult> results,
       const FetchPolicy& policy = {}, std::size_t limit = 0,
       core::TimestampMs window_start = 0, core::TimestampMs window_end = 0);
@@ -152,12 +140,12 @@ class FetchCoordinator {
  private:
   struct Provider {
     const media::VideoStore* store = nullptr;
-    Link* link = nullptr;
-    FaultyLink* faulty = nullptr;  ///< set = degraded path injects faults
+    Link* link = nullptr;          ///< set for a reliable provider
+    FaultyLink* faulty = nullptr;  ///< set for a lossy provider
   };
 
-  /// One request/response exchange via the provider's (possibly faulty)
-  /// link. nullopt = nothing usable came back this attempt.
+  /// One request/response exchange via the provider's link. nullopt =
+  /// nothing usable came back this attempt.
   [[nodiscard]] std::optional<ClipResponse> exchange(
       const Provider& p, const ClipRequest& req);
 

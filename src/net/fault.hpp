@@ -89,7 +89,6 @@ class FaultyLink {
 
   [[nodiscard]] FaultStats stats() const;
   [[nodiscard]] const FaultPlan& plan() const noexcept { return plan_; }
-  [[nodiscard]] Link& inner() noexcept { return inner_; }
   [[nodiscard]] SimClock* clock() const noexcept { return clock_; }
 
  private:

@@ -41,9 +41,8 @@ ServerMetrics& server_metrics() {
 IndexMetrics& index_metrics() {
   static IndexMetrics m{
       global().counter("svg_index_inserts_total", "Index insertions"),
-      global().counter("svg_index_erases_total", "Index erasures"),
       global().counter("svg_index_queries_total", "Index range queries"),
-      global().gauge("svg_index_size", "Live segments in the index"),
+      global().gauge("svg_index_size", "Segments in the index"),
       global().histogram("svg_index_insert_ns",
                          "Insert latency incl. writer-lock wait"),
       global().histogram("svg_index_query_ns",
@@ -82,8 +81,6 @@ IndexCompactionMetrics& index_compaction_metrics() {
                        "Runs consumed by compaction merges"),
       global().counter("svg_index_compaction_output_rows_total",
                        "Rows written into merged runs"),
-      global().counter("svg_index_compaction_dropped_tombstones_total",
-                       "Tombstoned rows garbage-collected by compaction"),
       global().histogram("svg_index_compaction_ns",
                          "Compaction merge round wall time"),
   };

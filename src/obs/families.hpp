@@ -33,13 +33,12 @@ struct ServerMetrics {
   Histogram& query_ns;   ///< handle_query / search wall time
 };
 
-/// index::TieredFovIndex — the server's index: inserts, erases, range
-/// queries and the live size (svg_index_*).
+/// index::TieredFovIndex — the server's insert-only index: inserts, range
+/// queries and the size (svg_index_*).
 struct IndexMetrics {
   Counter& inserts;
-  Counter& erases;
   Counter& queries;
-  Gauge& size;  ///< live indexed segments
+  Gauge& size;  ///< indexed segments
   Histogram& insert_ns;
   Histogram& query_ns;
 };
@@ -59,14 +58,12 @@ struct IndexRunMetrics {
 };
 
 /// index::TieredFovIndex — background/manual compaction
-/// (svg_index_compaction_*): merge rounds, their input/output sizes, and
-/// the tombstoned rows physically dropped.
+/// (svg_index_compaction_*): merge rounds and their input/output sizes.
 struct IndexCompactionMetrics {
-  Counter& compactions;         ///< merge rounds completed
-  Counter& input_runs;          ///< runs consumed by merges
-  Counter& output_rows;         ///< rows written into merged runs
-  Counter& dropped_tombstones;  ///< dead rows garbage-collected
-  Histogram& compact_ns;        ///< merge round wall time
+  Counter& compactions;   ///< merge rounds completed
+  Counter& input_runs;    ///< runs consumed by merges
+  Counter& output_rows;   ///< rows written into merged runs
+  Histogram& compact_ns;  ///< merge round wall time
 };
 
 /// retrieval::RetrievalEngine — the rank-based pipeline, per stage.

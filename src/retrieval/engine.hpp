@@ -34,7 +34,7 @@ namespace svg::retrieval {
 /// per-stage wall-clock so a single trace explains where a slow query went.
 ///
 /// Funnel counters:
-///   candidates   → live FoVs inside the search rectangle
+///   candidates   → FoVs inside the search rectangle
 ///   after_filter → those whose camera sees the query centre (the
 ///                  orientation test)
 ///   returned     → final top-N
@@ -115,7 +115,7 @@ class RetrievalEngine {
       seen.push_back(
           {rep, distance_m, 1.0 / (1.0 + distance_m / relevance_scale)});
     };
-    // The tiered index runs the test on its columns and counts the live
+    // The tiered index runs the test on its columns and counts the
     // in-range rows; any other index gets it here, per visited row.
     std::size_t candidates = 0;
     if constexpr (requires { index_->query(range, sight, keep); }) {

@@ -95,7 +95,7 @@ TEST(ColumnarScanTest, MatchesScalarReference) {
           r.t_start = static_cast<TimestampMs>(rng.bounded(3'000'000));
           r.t_end = r.t_start + static_cast<TimestampMs>(rng.bounded(800'000));
       }
-      cols.push_back(r, i);
+      cols.push_back(r);
     }
     for (std::uint32_t len = 0; len <= 67; ++len) {
       for (std::uint32_t begin = 0; begin <= 3; ++begin) {
@@ -145,7 +145,7 @@ FovColumns run_rows(std::size_t n, svg::util::Xoshiro256& rng) {
                   static_cast<TimestampMs>(rng.uniform() *
                                            static_cast<double>(kThirtyYears));
     }
-    cols.push_back(r, static_cast<FovHandle>(i));
+    cols.push_back(r);
   }
   return cols;
 }

@@ -46,7 +46,7 @@ std::vector<std::pair<std::uint64_t, std::uint32_t>> keys(
   return out;
 }
 
-// The core guarantee: for any randomized insert/erase/query sequence the
+// The core guarantee: for any randomized insert/query sequence the
 // tiered index — memtable, in-flight seals, and STR-packed runs included —
 // is indistinguishable (as a set) from one plain FovIndex. The tiny
 // memtable forces many seals mid-sequence.
@@ -54,18 +54,12 @@ TEST(TieredFovIndexTest, EquivalentToPlainIndexUnderRandomOps) {
   svg::util::Xoshiro256 rng(1234);
   FovIndex plain;
   TieredFovIndex tiered({.memtable_capacity = 64});
-  std::vector<std::pair<FovHandle, FovHandle>> live;  // (plain, tiered)
 
   for (int step = 0; step < 3'000; ++step) {
-    const auto roll = rng.bounded(100);
-    if (roll < 55 || live.empty()) {
+    if (rng.bounded(100) < 55) {
       const auto rep = random_rep(rng);
-      live.emplace_back(plain.insert(rep), tiered.insert(rep));
-    } else if (roll < 75) {
-      const auto pick = rng.bounded(live.size());
-      const auto [ph, th] = live[pick];
-      EXPECT_EQ(plain.erase(ph), tiered.erase(th));
-      live.erase(live.begin() + static_cast<std::ptrdiff_t>(pick));
+      plain.insert(rep);
+      tiered.insert(rep);
     } else {
       const auto q = random_range(rng);
       EXPECT_EQ(keys(plain.query_collect(q)), keys(tiered.query_collect(q)));
@@ -78,23 +72,16 @@ TEST(TieredFovIndexTest, EquivalentToPlainIndexUnderRandomOps) {
 }
 
 // Compaction must preserve the indexed set exactly: merge everything down
-// to one run and re-compare against the plain index, tombstones included.
+// to one run and re-compare against the plain index.
 TEST(TieredFovIndexTest, CompactionPreservesTheIndexedSet) {
   svg::util::Xoshiro256 rng(4321);
   FovIndex plain;
   TieredFovIndex tiered({.memtable_capacity = 32});
-  std::vector<std::pair<FovHandle, FovHandle>> live;
 
   for (int i = 0; i < 1'000; ++i) {
     const auto rep = random_rep(rng);
-    live.emplace_back(plain.insert(rep), tiered.insert(rep));
-  }
-  // Tombstone a third of them.
-  for (int i = 0; i < 300; ++i) {
-    const auto pick = rng.bounded(live.size());
-    const auto [ph, th] = live[pick];
-    EXPECT_EQ(plain.erase(ph), tiered.erase(th));
-    live.erase(live.begin() + static_cast<std::ptrdiff_t>(pick));
+    plain.insert(rep);
+    tiered.insert(rep);
   }
 
   const auto before = tiered.run_stats();
@@ -105,29 +92,16 @@ TEST(TieredFovIndexTest, CompactionPreservesTheIndexedSet) {
   EXPECT_GT(merged, 0u);
 
   const auto after = tiered.run_stats();
-  EXPECT_EQ(after.runs.size(), 1u);
-  // Compaction physically dropped the tombstones: the surviving run holds
-  // exactly the live rows.
+  ASSERT_EQ(after.runs.size(), 1u);
+  // The merge moved every row and dropped none: the one run holds them all.
   EXPECT_EQ(after.runs[0].rows, tiered.size());
+  EXPECT_EQ(tiered.size(), 1'000u);
   EXPECT_EQ(keys(plain.snapshot()), keys(tiered.snapshot()));
   for (int i = 0; i < 30; ++i) {
     const auto q = random_range(rng);
     EXPECT_EQ(keys(plain.query_collect(q)), keys(tiered.query_collect(q)));
   }
   tiered.check_invariants();
-}
-
-TEST(TieredFovIndexTest, HandlesRoundTripThroughErase) {
-  svg::util::Xoshiro256 rng(99);
-  TieredFovIndex idx({.memtable_capacity = 64});
-  std::vector<FovHandle> handles;
-  for (int i = 0; i < 500; ++i) handles.push_back(idx.insert(random_rep(rng)));
-  EXPECT_EQ(idx.size(), 500u);
-  for (const auto h : handles) EXPECT_TRUE(idx.erase(h));
-  EXPECT_EQ(idx.size(), 0u);
-  // Stale handles must be rejected, not resolved to some other entry.
-  for (const auto h : handles) EXPECT_FALSE(idx.erase(h));
-  idx.check_invariants();
 }
 
 // Sealing is purely size-triggered, so a batch insert must produce exactly
@@ -203,20 +177,16 @@ TEST(TieredFovIndexTest, FeedsAggregatedAndRunMetrics) {
   auto& rm = svg::obs::index_run_metrics();
   const auto inserts0 = agg.inserts.value();
   const auto queries0 = agg.queries.value();
-  const auto erases0 = agg.erases.value();
   const auto seals0 = rm.seals.value();
   const auto sealed_rows0 = rm.sealed_rows.value();
 
   svg::util::Xoshiro256 rng(77);
   TieredFovIndex idx({.memtable_capacity = 50});
-  std::vector<FovHandle> handles;
-  for (int i = 0; i < 120; ++i) handles.push_back(idx.insert(random_rep(rng)));
+  for (int i = 0; i < 120; ++i) idx.insert(random_rep(rng));
   (void)idx.query_collect(random_range(rng));
-  EXPECT_TRUE(idx.erase(handles.front()));
 
   EXPECT_EQ(agg.inserts.value() - inserts0, 120u);
   EXPECT_GE(agg.queries.value() - queries0, 1u);
-  EXPECT_EQ(agg.erases.value() - erases0, 1u);
   // 120 inserts over a 50-row memtable = 2 seals of 50 rows each.
   EXPECT_EQ(rm.seals.value() - seals0, 2u);
   EXPECT_EQ(rm.sealed_rows.value() - sealed_rows0, 100u);

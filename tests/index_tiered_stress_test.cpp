@@ -1,13 +1,15 @@
 // Concurrency suite for TieredFovIndex: writers sealing runs mid-query,
-// erasers racing scans, and a fast background compactor merging under
-// everything. Run under SVG_SANITIZE=thread in CI — the interesting
-// property is data-race freedom across the memtable swap, the sealing
-// buffer hand-off, and the run-list swap; the functional property is that
-// no query ever observes a torn set (every inserted row is visible exactly
-// once or not yet visible, never twice).
+// manual compactions racing the background compactor, and a fast
+// background compactor merging under everything. Run under
+// SVG_SANITIZE=thread in CI — the interesting property is data-race
+// freedom across the memtable swap, the sealing buffer hand-off, and the
+// run-list swap; the functional property is that no query ever observes a
+// torn set (every inserted row is visible exactly once or not yet visible,
+// never twice).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -125,59 +127,70 @@ TEST(TieredStressTest, ConcurrentWritersSealingMidQuery) {
   EXPECT_EQ(total, kTotal);
 }
 
-// Erasers and a manual full compaction race the readers: tombstoned rows
-// must never resurrect (queries check the bitmap even for rows a merge
-// copied before the erase landed).
-TEST(TieredStressTest, ErasureNeverResurrectsUnderCompaction) {
+// Manual full compactions race the 1 ms background compactor under a
+// reader while a writer keeps sealing new runs. compact_mu_ serializes the
+// two compactors and each run-list swap is atomic under the lock, so every
+// scan sees each row inserted before it exactly once: never twice (an input
+// run beside its merged replacement) and never not at all (an input dropped
+// before its replacement landed). One writer inserts segment ids in order,
+// so a consistent scan sees exactly the ids [0, n).
+TEST(TieredStressTest, CompactorsRaceUnderReaderSeeEachRowOnce) {
   TieredFovIndex idx({.memtable_capacity = 64, .compact_interval_ms = 1});
-  constexpr std::uint32_t kRows = 4'000;
-  std::vector<FovHandle> handles;
-  handles.reserve(kRows);
-  for (std::uint32_t i = 0; i < kRows; ++i) {
-    handles.push_back(idx.insert(make_rep(1, i)));
-  }
+  constexpr std::uint32_t kRounds = 16;
+  constexpr std::uint32_t kPerRound = 256;  // four seals per round
+  constexpr std::uint32_t kRows = kRounds * kPerRound;
   const GeoTimeRange everything{116.0, 117.0, 39.0, 40.0, 0,
                                 10'000'000'000};
 
-  // Erase even segments while readers scan and the compactor merges.
+  std::atomic<std::uint32_t> inserted{0};
   std::atomic<bool> stop{false};
-  std::atomic<std::uint64_t> resurrected{0};
-  std::vector<std::uint8_t> erased(kRows, 0);  // written before the erase
+  std::atomic<std::uint64_t> scans{0};
+  std::atomic<std::uint64_t> bad_scans{0};
   std::thread reader([&] {
+    std::vector<std::uint32_t> seen(kRows);
     while (!stop.load(std::memory_order_acquire)) {
+      const std::uint32_t floor = inserted.load(std::memory_order_acquire);
+      std::fill(seen.begin(), seen.end(), 0u);
+      std::uint32_t rows = 0;
       idx.query(everything, [&](const RepresentativeFov& rep) {
-        // A row flagged BEFORE its erase may still be visible (the erase
-        // hasn't landed); one erased before the scan started must not be.
-        (void)rep;
+        ++seen[rep.segment_id];
+        ++rows;
       });
+      bool exact = rows >= floor;
+      for (std::uint32_t i = 0; i < kRows; ++i) {
+        exact = exact && seen[i] == (i < rows ? 1u : 0u);
+      }
+      if (!exact) bad_scans.fetch_add(1, std::memory_order_relaxed);
+      scans.fetch_add(1, std::memory_order_relaxed);
+      // Let the writer and the compactors in (see the first test).
+      std::this_thread::sleep_for(std::chrono::microseconds(20));
     }
   });
-  for (std::uint32_t i = 0; i < kRows; i += 2) {
-    erased[i] = 1;
-    EXPECT_TRUE(idx.erase(handles[i]));
-    if (i % 512 == 0) (void)idx.compact_now(/*full=*/true);
+
+  std::size_t manual_merges = 0;
+  for (std::uint32_t round = 0; round < kRounds; ++round) {
+    for (std::uint32_t i = 0; i < kPerRound; ++i) {
+      idx.insert(make_rep(1, round * kPerRound + i));
+      inserted.fetch_add(1, std::memory_order_release);
+    }
+    if (idx.compact_now(/*full=*/true) > 0) ++manual_merges;
   }
-  (void)idx.compact_now(/*full=*/true);
+  // Keep the reader going until it has finished at least one scan.
+  while (scans.load(std::memory_order_relaxed) == 0) {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
   stop.store(true, std::memory_order_release);
   reader.join();
 
-  // After the dust settles: exactly the odd rows remain, none erased.
-  std::vector<std::uint8_t> seen(kRows, 0);
-  idx.query(everything, [&](const RepresentativeFov& rep) {
-    seen[rep.segment_id]++;
-    if (erased[rep.segment_id] != 0) {
-      resurrected.fetch_add(1, std::memory_order_relaxed);
-    }
-  });
-  EXPECT_EQ(resurrected.load(), 0u);
-  std::size_t visible = 0;
-  for (std::uint32_t i = 0; i < kRows; ++i) {
-    EXPECT_LE(seen[i], 1u);
-    visible += seen[i];
-  }
-  EXPECT_EQ(visible, kRows / 2);
-  EXPECT_EQ(idx.size(), kRows / 2);
+  EXPECT_EQ(bad_scans.load(), 0u);
+  EXPECT_GT(manual_merges, 0u);
+  EXPECT_EQ(idx.size(), kRows);
   idx.check_invariants();
+  std::vector<std::uint32_t> seen(kRows, 0);
+  idx.query(everything,
+            [&](const RepresentativeFov& rep) { ++seen[rep.segment_id]; });
+  EXPECT_EQ(std::count(seen.begin(), seen.end(), 1u),
+            static_cast<std::ptrdiff_t>(kRows));
 }
 
 // insert_batch bursts against queries and the background compactor — the

@@ -62,7 +62,8 @@ TEST(TwoPhaseIntegrationTest, QueryThenFetchDeliversTheRightClip) {
   // Fetch clamped to the query window: the static camera's whole 60 s
   // recording is ONE segment, but the inquirer only needs the 10 s that
   // matched.
-  const auto clips = coordinator.fetch_all(results, 1, q.t_start, q.t_end);
+  const auto clips =
+      coordinator.fetch_all(results, {}, 1, q.t_start, q.t_end).clips;
   ASSERT_EQ(clips.size(), 1u);
   const auto& clip = clips[0];
   EXPECT_EQ(clip.video_id, 77u);
@@ -129,7 +130,7 @@ TEST(TwoPhaseIntegrationTest, CrowdScaleFetchBudget) {
   q.t_end = frame.t + 5'000;
   const auto results = server.search(q);
   ASSERT_FALSE(results.empty());
-  const auto clips = coordinator.fetch_all(results, 3);
+  const auto clips = coordinator.fetch_all(results, {}, 3).clips;
   EXPECT_EQ(clips.size(),
             std::min<std::size_t>(3, results.size()) -
                 coordinator.stats().clips_missing);

@@ -152,9 +152,9 @@ TEST(FetchCoordinatorTest, FetchAllHonoursLimit) {
       result_for(1, 1'000'000, 1'002'000),
       result_for(2, 1'000'000, 1'002'000),
       result_for(3, 1'000'000, 1'002'000)};
-  EXPECT_EQ(coord.fetch_all(results, 2).size(), 2u);
+  EXPECT_EQ(coord.fetch_all(results, {}, 2).clips.size(), 2u);
   EXPECT_EQ(coord.stats().clips_fetched, 2u);
-  EXPECT_EQ(coord.fetch_all(results).size(), 3u);
+  EXPECT_EQ(coord.fetch_all(results).clips.size(), 3u);
 }
 
 }  // namespace

@@ -39,7 +39,7 @@ TEST(DegradedFetchTest, CleanFaultyLinkBehavesLikeReliableFetch) {
   coord.register_provider(1, &store, &faulty);
   MissingClip miss;
   const auto clip =
-      coord.fetch_degraded(result_for(1, 1'010'000, 1'016'000), {}, &miss);
+      coord.fetch(result_for(1, 1'010'000, 1'016'000), {}, &miss);
   ASSERT_TRUE(clip.has_value());
   EXPECT_EQ(clip->video_id, 1u);
   EXPECT_EQ(coord.stats().attempts, 1u);
@@ -62,7 +62,7 @@ TEST(DegradedFetchTest, RetrySucceedsUnderHeavyDrops) {
   policy.deadline_ms = 0;  // attempts alone bound the work
   std::size_t fetched = 0;
   for (int i = 0; i < 10; ++i) {
-    if (coord.fetch_degraded(result_for(2, 1'010'000, 1'012'000), policy)) {
+    if (coord.fetch(result_for(2, 1'010'000, 1'012'000), policy)) {
       ++fetched;
     }
   }
@@ -74,7 +74,7 @@ TEST(DegradedFetchTest, RetrySucceedsUnderHeavyDrops) {
 TEST(DegradedFetchTest, UnknownProviderFlaggedWithoutLinkTraffic) {
   FetchCoordinator coord;
   MissingClip miss;
-  EXPECT_FALSE(coord.fetch_degraded(result_for(9, 0, 1000), {}, &miss));
+  EXPECT_FALSE(coord.fetch(result_for(9, 0, 1000), {}, &miss));
   EXPECT_EQ(miss.reason, FetchFailure::kUnknownProvider);
   EXPECT_EQ(miss.video_id, 9u);
   EXPECT_EQ(miss.attempts, 0u);
@@ -91,7 +91,7 @@ TEST(DegradedFetchTest, NotFoundIsTerminalNotRetried) {
   FetchPolicy policy;
   policy.max_attempts = 5;
   EXPECT_FALSE(
-      coord.fetch_degraded(result_for(4, 1'000'000, 1'001'000), policy, &miss));
+      coord.fetch(result_for(4, 1'000'000, 1'001'000), policy, &miss));
   EXPECT_EQ(miss.reason, FetchFailure::kNotFound);
   // A definitive "I don't have it" must not burn the retry budget.
   EXPECT_EQ(miss.attempts, 1u);
@@ -112,7 +112,7 @@ TEST(DegradedFetchTest, DeadLinkTimesOutWithAttemptCount) {
   policy.max_attempts = 4;
   policy.deadline_ms = 0;
   EXPECT_FALSE(
-      coord.fetch_degraded(result_for(5, 1'000'000, 1'002'000), policy, &miss));
+      coord.fetch(result_for(5, 1'000'000, 1'002'000), policy, &miss));
   EXPECT_EQ(miss.reason, FetchFailure::kTimedOut);
   EXPECT_EQ(miss.attempts, 4u);
   EXPECT_GT(clock.now_ms(), 3 * policy.attempt_timeout_ms);
@@ -134,7 +134,7 @@ TEST(DegradedFetchTest, DeadlineCutsRetriesShort) {
   policy.attempt_timeout_ms = 1'000.0;
   policy.deadline_ms = 3'000.0;
   EXPECT_FALSE(
-      coord.fetch_degraded(result_for(6, 1'000'000, 1'002'000), policy, &miss));
+      coord.fetch(result_for(6, 1'000'000, 1'002'000), policy, &miss));
   EXPECT_EQ(miss.reason, FetchFailure::kTimedOut);
   EXPECT_LT(miss.attempts, 100u);  // deadline, not attempt budget, stopped it
 }
@@ -164,7 +164,7 @@ TEST(DegradedFetchTest, PartialReportFlagsOnlyTheUnreachableClips) {
   FetchPolicy policy;
   policy.max_attempts = 3;
   policy.deadline_ms = 0;
-  const auto report = coord.fetch_all_degraded(results, policy);
+  const auto report = coord.fetch_all(results, policy);
 
   EXPECT_FALSE(report.complete());
   ASSERT_EQ(report.clips.size(), 1u);
@@ -205,7 +205,7 @@ TEST(DegradedFetchTest, CorruptedExchangeIsRetriedNotMistakenForNotFound) {
   policy.max_attempts = 3;
   policy.deadline_ms = 0;
   EXPECT_FALSE(
-      coord.fetch_degraded(result_for(7, 1'000'000, 1'002'000), policy, &miss));
+      coord.fetch(result_for(7, 1'000'000, 1'002'000), policy, &miss));
   EXPECT_EQ(miss.reason, FetchFailure::kTimedOut);
   EXPECT_EQ(miss.attempts, 3u);
 }
