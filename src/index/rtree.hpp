@@ -9,15 +9,18 @@
 // down and splits/deletes recompute only the affected nodes, so inserts are
 // O(M log_M n) as the paper's per-insert millisecond figures require.
 //
-// An STR ("sort-tile-recursive") bulk loader is provided for the ablation
-// bench comparing one-by-one insertion (what a live crowd-sourcing server
-// does) against offline packing.
+// An STR ("sort-tile-recursive"; Leutenegger, Lopez and Edgington, ICDE
+// 1997) bulk loader is provided for the ablation bench comparing one-by-one
+// insertion (what a live crowd-sourcing server does) against offline
+// packing. STR orders a 4-byte id permutation in place (str_order) and
+// moves each item once, at the end (str_sort).
 //
 // The tree is not internally synchronized. svg::index::TieredFovIndex
-// builds no tree: its sealed runs borrow str_sort and pack_counts to lay
-// out their rows and flat block indexes.
+// builds no tree: its sealed runs borrow str_order, str_sort and
+// pack_counts to lay out their rows and flat block indexes.
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cassert>
 #include <cmath>
@@ -195,13 +198,50 @@ class RTree {
     return counts;
   }
 
-  /// STR-order `entries` in place: after this call, consecutive groups of
-  /// pack_counts(entries.size(), capacity) entries form the compact tiles
-  /// bulk_load packs into nodes. Exposed so ColumnarRun can lay its
-  /// structure-of-arrays columns out in exactly the bulk-load leaf order
-  /// and tile each level of its flat block index the same way.
-  static void str_sort(std::vector<Entry>& entries, std::size_t capacity) {
-    str_tile(entries, 0, capacity);
+  /// The STR order of n items as a permutation of their ids: taken in
+  /// the returned order, consecutive groups of pack_counts(n, capacity)
+  /// items form the compact tiles bulk_load packs into nodes. keys[d][i]
+  /// is item i's box min + max on dimension d (twice its centre, which
+  /// orders the same). Exposed so ColumnarRun can lay its columns out in
+  /// bulk_load's leaf order straight from its source columns.
+  ///
+  /// Each slice fills (key, id) pairs for its own subrange, sorts them by
+  /// key, writes the ids back in place and recurses on the next dimension;
+  /// one scratch buffer of n pairs serves every level, and no slice is
+  /// copied. std::sort moves elements on comparison outcomes alone, so the
+  /// order, ties included, is the one an index sort over the same keys
+  /// gives. A stable or radix sort would reorder tied items, and with them
+  /// every layout built on this order.
+  static std::vector<std::uint32_t> str_order(
+      const std::array<std::vector<double>, N>& keys, std::size_t capacity) {
+    const std::size_t n = keys[0].size();
+    assert(n <= std::numeric_limits<std::uint32_t>::max());
+    std::vector<std::uint32_t> order(n);
+    std::iota(order.begin(), order.end(), 0u);
+    std::vector<KeyId> scratch(n);
+    tile_ids(keys, order.data(), n, 0, capacity, scratch.data());
+    return order;
+  }
+
+  /// STR-order `items` (Entries, or bulk_load's nodes) in place: their box
+  /// keys through str_order, then one move per item. ColumnarRun tiles
+  /// each level of its flat block index this way.
+  template <typename Item>
+  static void str_sort(std::vector<Item>& items, std::size_t capacity) {
+    const std::size_t n = items.size();
+    if (n <= capacity) return;
+    std::array<std::vector<double>, N> keys;
+    for (auto& k : keys) k.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const BoxN& b = box_ref(items[i]);
+      for (std::size_t d = 0; d < N; ++d) keys[d][i] = b.min[d] + b.max[d];
+    }
+    std::vector<Item> sorted;
+    sorted.reserve(n);
+    for (const std::uint32_t i : str_order(keys, capacity)) {
+      sorted.push_back(std::move(items[i]));
+    }
+    items = std::move(sorted);
   }
 
   /// STR bulk load: recursively sort-and-tile by each dimension, pack
@@ -214,7 +254,7 @@ class RTree {
     if (entries.empty()) return tree;
     tree.size_ = entries.size();
 
-    str_tile(entries, 0, options.max_entries);
+    str_sort(entries, options.max_entries);
     const auto leaf_counts = pack_counts(entries.size(), options.max_entries);
     std::vector<std::unique_ptr<Node>> level;
     level.reserve(leaf_counts.size());
@@ -235,7 +275,7 @@ class RTree {
     while (level.size() > 1) {
       ++height;
       // Sort-tile the node boxes, then pack.
-      str_tile(level, 0, options.max_entries);
+      str_sort(level, options.max_entries);
       const auto counts = pack_counts(level.size(), options.max_entries);
       std::vector<std::unique_ptr<Node>> next;
       next.reserve(counts.size());
@@ -607,54 +647,34 @@ class RTree {
 
   // --- STR helper ----------------------------------------------------------
 
-  /// Recursively sort-and-tile `items` (Entries or Nodes) by successive
-  /// dimensions so that consecutive runs of `capacity` items form compact
-  /// boxes.
-  template <typename Vec>
-  static void str_tile(Vec& items, std::size_t dim, std::size_t capacity) {
-    if (items.size() <= capacity || dim >= N) return;
-    // Precompute each item's sort key once and sort an index permutation:
-    // a comparator that derives the center from the box pays two array
-    // loads plus arithmetic per comparison, O(n log n) times — measured as
-    // a double-digit-percent slice of bulk-load time at scale
-    // (bench_fig6b_index_build). min+max orders identically to the center.
-    const std::size_t n = items.size();
-    std::vector<double> keys(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      const BoxN& b = box_ref(items[i]);
-      keys[i] = b.min[dim] + b.max[dim];
-    }
-    std::vector<std::uint32_t> order(n);
-    std::iota(order.begin(), order.end(), 0u);
-    std::sort(order.begin(), order.end(),
-              [&keys](std::uint32_t a, std::uint32_t b) {
-                return keys[a] < keys[b];
-              });
-    {
-      Vec sorted;
-      sorted.reserve(n);
-      for (const std::uint32_t i : order) {
-        sorted.push_back(std::move(items[i]));
-      }
-      items = std::move(sorted);
-    }
-    const auto n_nodes = static_cast<double>(
-        (items.size() + capacity - 1) / capacity);
+  struct KeyId {
+    double key;
+    std::uint32_t id;
+  };
+
+  /// Sort-and-tile the ids[0, n) subrange by dimension `dim`, then tile
+  /// each of its slices by the next, so that consecutive runs of
+  /// `capacity` ids form compact boxes. `scratch` holds at least n pairs;
+  /// each level writes its ids back before it recurses, so the levels
+  /// below reuse it.
+  static void tile_ids(const std::array<std::vector<double>, N>& keys,
+                       std::uint32_t* ids, std::size_t n, std::size_t dim,
+                       std::size_t capacity, KeyId* scratch) {
+    if (n <= capacity || dim >= N) return;
+    const double* key = keys[dim].data();
+    for (std::size_t i = 0; i < n; ++i) scratch[i] = {key[ids[i]], ids[i]};
+    std::sort(scratch, scratch + n,
+              [](const KeyId& a, const KeyId& b) { return a.key < b.key; });
+    for (std::size_t i = 0; i < n; ++i) ids[i] = scratch[i].id;
+    const auto n_nodes = static_cast<double>((n + capacity - 1) / capacity);
     const auto slices = static_cast<std::size_t>(std::max(
         1.0,
         std::ceil(std::pow(n_nodes, 1.0 / static_cast<double>(N - dim)))));
-    const std::size_t slice_len = (items.size() + slices - 1) / slices;
-    if (slice_len >= items.size()) {
-      // One slice: just recurse into the next dimension over the whole run.
-      if (dim + 1 < N) str_tile(items, dim + 1, capacity);
-      return;
-    }
-    for (std::size_t i = 0; i < items.size(); i += slice_len) {
-      const std::size_t end = std::min(items.size(), i + slice_len);
-      Vec slice(std::make_move_iterator(items.begin() + i),
-                std::make_move_iterator(items.begin() + end));
-      str_tile(slice, dim + 1, capacity);
-      std::move(slice.begin(), slice.end(), items.begin() + i);
+    // One slice (slice_len >= n) recurses over the whole subrange.
+    const std::size_t slice_len = (n + slices - 1) / slices;
+    for (std::size_t i = 0; i < n; i += slice_len) {
+      tile_ids(keys, ids + i, std::min(slice_len, n - i), dim + 1, capacity,
+               scratch);
     }
   }
 

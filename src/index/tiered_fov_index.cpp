@@ -14,17 +14,19 @@ namespace svg::index {
 
 namespace {
 
-/// Copy row `i` of `src` into `dst` (columns already reserved).
-void append_row(FovColumns& dst, const FovColumns& src, std::size_t i) {
-  dst.lng.push_back(src.lng[i]);
-  dst.lat.push_back(src.lat[i]);
-  dst.theta.push_back(src.theta[i]);
-  dst.dir_east.push_back(src.dir_east[i]);
-  dst.dir_north.push_back(src.dir_north[i]);
-  dst.ts.push_back(src.ts[i]);
-  dst.te.push_back(src.te[i]);
-  dst.video_id.push_back(src.video_id[i]);
-  dst.segment_id.push_back(src.segment_id[i]);
+/// Fill one run column from the parts' rows, taken in turn: row id k
+/// goes to position pos[k]. Reads every part sequentially and writes each
+/// output value once, so one part costs what a plain gather would.
+template <typename T>
+void scatter(std::vector<T> FovColumns::*column,
+             const std::vector<const FovColumns*>& parts,
+             const std::vector<std::uint32_t>& pos, FovColumns& out) {
+  std::vector<T>& dst = out.*column;
+  dst.resize(pos.size());
+  const std::uint32_t* to = pos.data();
+  for (const FovColumns* part : parts) {
+    for (const T& v : part->*column) dst[*to++] = v;
+  }
 }
 
 using BlockEntry = ColumnarRun::BlockEntry;
@@ -102,34 +104,56 @@ void check_tiling(std::vector<ChildRange> ranges, std::size_t size) {
 }  // namespace
 
 std::shared_ptr<const ColumnarRun> ColumnarRun::build(
-    const FovColumns& rows, const FovIndexOptions& options) {
-  assert(!rows.empty());
-  const std::size_t n = rows.size();
+    const std::vector<const FovColumns*>& parts,
+    const FovIndexOptions& options) {
+  std::size_t n = 0;
+  for (const FovColumns* part : parts) n += part->size();
+  assert(n > 0);
   const double u = options.ms_to_units;
   const std::size_t cap = options.rtree.max_entries;
 
-  // STR order the rows: one Entry per row, payload = source row id.
-  using RowTree = RTree<std::uint32_t, 3>;
-  std::vector<RowTree::Entry> entries;
-  entries.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    geo::Box3 b;
-    b.min = {rows.lng[i], rows.lat[i], static_cast<double>(rows.ts[i]) * u};
-    b.max = {rows.lng[i], rows.lat[i], static_cast<double>(rows.te[i]) * u};
-    entries.push_back({b, static_cast<std::uint32_t>(i)});
-  }
-  RowTree::str_sort(entries, cap);
-
-  // Materialize the columns in that order; track the run's time bound.
-  FovColumns cols;
-  cols.reserve(n);
+  // Row ids number the parts' rows in turn. Each row's STR keys are its
+  // box's min + max per axis, the box being (lng, lat, ts * u) to
+  // (lng, lat, te * u); track the run's time bound on the way.
+  std::array<std::vector<double>, 3> keys;
+  for (auto& k : keys) k.resize(n);
   core::TimestampMs ts_min = std::numeric_limits<core::TimestampMs>::max();
   core::TimestampMs ts_max = std::numeric_limits<core::TimestampMs>::min();
-  for (const auto& e : entries) {
-    append_row(cols, rows, e.value);
-    ts_min = std::min(ts_min, rows.ts[e.value]);
-    ts_max = std::max(ts_max, rows.te[e.value]);
+  {
+    std::size_t id = 0;
+    for (const FovColumns* part : parts) {
+      const FovColumns& p = *part;
+      for (std::size_t i = 0; i < p.size(); ++i, ++id) {
+        keys[0][id] = p.lng[i] + p.lng[i];
+        keys[1][id] = p.lat[i] + p.lat[i];
+        keys[2][id] = static_cast<double>(p.ts[i]) * u +
+                      static_cast<double>(p.te[i]) * u;
+        ts_min = std::min(ts_min, p.ts[i]);
+        ts_max = std::max(ts_max, p.te[i]);
+      }
+    }
   }
+
+  // Materialize the columns in STR order, each in one pass over the parts
+  // through the inverse permutation.
+  std::vector<std::uint32_t> pos(n);
+  {
+    const std::vector<std::uint32_t> order =
+        RTree<std::uint32_t, 3>::str_order(keys, cap);
+    for (std::size_t k = 0; k < n; ++k) {
+      pos[order[k]] = static_cast<std::uint32_t>(k);
+    }
+  }
+  FovColumns cols;
+  scatter(&FovColumns::lng, parts, pos, cols);
+  scatter(&FovColumns::lat, parts, pos, cols);
+  scatter(&FovColumns::theta, parts, pos, cols);
+  scatter(&FovColumns::dir_east, parts, pos, cols);
+  scatter(&FovColumns::dir_north, parts, pos, cols);
+  scatter(&FovColumns::ts, parts, pos, cols);
+  scatter(&FovColumns::te, parts, pos, cols);
+  scatter(&FovColumns::video_id, parts, pos, cols);
+  scatter(&FovColumns::segment_id, parts, pos, cols);
 
   // Level 0: consecutive rows grouped into the compact tiles bulk_load
   // would pack into leaves, each bounded exactly in (lng, lat, ms after
@@ -308,9 +332,9 @@ void TieredFovIndex::build_and_publish(
   obs::Span span = obs::tracer().span("index.seal");
   span.tag("rows", sealed->size());
   obs::ScopedTimer timer(rm.seal_ns, span.trace_id());
-  // The expensive part — STR sort, column copy, bulk load — reads only the
-  // immutable sealed buffer; no lock held.
-  auto run = ColumnarRun::build(*sealed, options_.index);
+  // The expensive part — STR order, column fill, block index — reads only
+  // the immutable sealed buffer; no lock held.
+  auto run = ColumnarRun::build({sealed.get()}, options_.index);
   std::size_t run_rows = 0;
   {
     std::unique_lock lock(mutex_);
@@ -402,30 +426,26 @@ std::size_t TieredFovIndex::compact_now(bool full) {
   auto& cm = obs::index_compaction_metrics();
   auto& rm = obs::index_run_metrics();
 
-  // Pick the inputs (smallest first) and copy their rows while holding
-  // the lock shared — row copies are cheap sequential reads and never
-  // block other readers, only (briefly) writers.
+  // Pick the inputs (smallest first) under the shared lock. Runs are
+  // immutable and `inputs` keeps them alive, so the merge reads their
+  // columns in place with no lock held.
   std::vector<std::shared_ptr<const ColumnarRun>> inputs;
-  FovColumns merged;
-  std::size_t input_rows = 0;
   {
     std::shared_lock lock(mutex_);
     if (runs_.size() < 2) return 0;
     if (!full && runs_.size() < options_.compact_fanin) return 0;
     inputs = runs_;
-    std::sort(inputs.begin(), inputs.end(),
-              [](const auto& a, const auto& b) { return a->size() < b->size(); });
-    if (!full && inputs.size() > options_.compact_fanin) {
-      inputs.resize(options_.compact_fanin);
-    }
-    for (const auto& run : inputs) input_rows += run->size();
-    merged.reserve(input_rows);
-    for (const auto& run : inputs) {
-      const FovColumns& cols = run->cols();
-      for (std::size_t i = 0; i < cols.size(); ++i) {
-        append_row(merged, cols, i);
-      }
-    }
+  }
+  std::sort(inputs.begin(), inputs.end(),
+            [](const auto& a, const auto& b) { return a->size() < b->size(); });
+  if (!full && inputs.size() > options_.compact_fanin) {
+    inputs.resize(options_.compact_fanin);
+  }
+  std::vector<const FovColumns*> parts;
+  std::size_t input_rows = 0;
+  for (const auto& run : inputs) {
+    parts.push_back(&run->cols());
+    input_rows += run->size();
   }
 
   obs::Span span = obs::tracer().span("index.compact");
@@ -433,7 +453,7 @@ std::size_t TieredFovIndex::compact_now(bool full) {
   span.tag("input_rows", input_rows);
   obs::ScopedTimer timer(cm.compact_ns, span.trace_id());
 
-  auto replacement = ColumnarRun::build(merged, options_.index);
+  auto replacement = ColumnarRun::build(parts, options_.index);
 
   std::size_t run_rows = 0;
   {
@@ -451,7 +471,7 @@ std::size_t TieredFovIndex::compact_now(bool full) {
   }
   cm.compactions.inc();
   cm.input_runs.inc(inputs.size());
-  cm.output_rows.inc(merged.size());
+  cm.output_rows.inc(input_rows);
   rm.rows.set(static_cast<std::int64_t>(run_rows));
   return inputs.size();
 }

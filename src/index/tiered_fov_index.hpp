@@ -2,12 +2,17 @@
 // TieredFovIndex: LSM-style tiering of the FoV index (ROADMAP items 2+3).
 // Fresh representatives land in a small mutable columnar memtable; when it
 // reaches `memtable_capacity` rows it seals into an immutable ColumnarRun —
-// rows re-ordered by the RTree STR packer, stored as structure-of-arrays
+// rows in the RTree's STR leaf order, stored as structure-of-arrays
 // columns (columnar.hpp), indexed by a flat block index: one packed array
 // of 32-byte float boxes per level over row *blocks*, so the leaf-level
 // range filter is a tight branch-minimal scan over contiguous columns
 // instead of a pointer-chasing node walk. A background compactor
 // (Checkpointer cadence) merges small runs into larger ones.
+//
+// Every run is built once, straight from its source columns: a seal's
+// sealed memtable, or a compaction's input runs read in place. The build
+// orders a 4-byte row-id permutation (RTree::str_order) and fills each
+// output column in one pass through it; no row is copied before that.
 //
 // The index is insert-only, like the paper's server, which only adds FoVs:
 // a row sits in exactly one tier (memtable, sealing buffer or run) from its
@@ -34,11 +39,11 @@
 //
 // Concurrency: one shared_mutex guards the mutable state (memtable,
 // sealing buffers, run list). Writers hold it exclusively only for the O(1)
-// column append or the O(runs) list swap; the expensive work — STR sort,
-// column materialization, block-index build — runs on sealed immutable
-// buffers outside any lock, so ingest never stalls behind a seal or a
-// compaction and queries never stall behind ingest for longer than an
-// append.
+// column append or the O(runs) list swap, and a compaction holds it shared
+// only to copy the run list; the expensive work — STR order, column fill,
+// block-index build — reads sealed immutable buffers and runs outside any
+// lock, so ingest never stalls behind a seal or a compaction and queries
+// never stall behind ingest for longer than an append.
 
 #include <array>
 #include <condition_variable>
@@ -114,15 +119,25 @@ class ColumnarRun {
     ChildRange children;
   };
 
-  /// STR-sort `rows` (any order), materialize columns, build the block
-  /// index. `rows` must be non-empty.
+  /// Build a run from the rows of `parts`, taken in turn (any order): STR
+  /// order them, fill each column once, build the block index. A seal
+  /// passes its sealed buffer; a compaction passes its input runs'
+  /// columns, smallest run first, and they are read in place. The parts
+  /// must hold at least one row between them. The run equals one built
+  /// from the parts' concatenation.
   static std::shared_ptr<const ColumnarRun> build(
-      const FovColumns& rows, const FovIndexOptions& options);
+      const std::vector<const FovColumns*>& parts,
+      const FovIndexOptions& options);
 
   [[nodiscard]] const FovColumns& cols() const noexcept { return cols_; }
   [[nodiscard]] std::size_t size() const noexcept { return cols_.size(); }
   [[nodiscard]] core::TimestampMs ts_min() const noexcept { return ts_min_; }
   [[nodiscard]] core::TimestampMs ts_max() const noexcept { return ts_max_; }
+  /// The block index, one level per vector, level 0 (row blocks) first.
+  [[nodiscard]] const std::vector<std::vector<BlockEntry>>& levels()
+      const noexcept {
+    return levels_;
+  }
 
   /// Append matching row ids to `out` (exact filter). Walks the block
   /// index top-down a level at a time, then scan_range's the surviving
@@ -208,7 +223,9 @@ class TieredFovIndex {
   [[nodiscard]] std::vector<core::RepresentativeFov> snapshot() const;
 
   /// One compaction round: merge the smallest `compact_fanin` runs (all
-  /// runs when `full`) into one. The merge packs outside the lock; only
+  /// runs when `full`) into one. The lock is held shared only to pick the
+  /// inputs; the merge reads their immutable columns in place with no lock
+  /// held, inside the `index.compact` span and compaction timer, and only
   /// the run-list swap is exclusive. Returns the number of input runs
   /// merged (0 = nothing to do).
   std::size_t compact_now(bool full = false);

@@ -54,7 +54,7 @@ struct IndexRunMetrics {
   Counter& sealed_rows;  ///< rows sealed into runs (cumulative)
   Counter& time_pruned;  ///< runs skipped by the [ts_min, ts_max] tag
   Counter& scans;        ///< runs actually scanned by queries
-  Histogram& seal_ns;    ///< STR sort + column pack + bulk load per seal
+  Histogram& seal_ns;    ///< STR order + column fill + block index per seal
 };
 
 /// index::TieredFovIndex — background/manual compaction
@@ -63,7 +63,7 @@ struct IndexCompactionMetrics {
   Counter& compactions;   ///< merge rounds completed
   Counter& input_runs;    ///< runs consumed by merges
   Counter& output_rows;   ///< rows written into merged runs
-  Histogram& compact_ns;  ///< merge round wall time
+  Histogram& compact_ns;  ///< merge round wall time, input reads included
 };
 
 /// retrieval::RetrievalEngine — the rank-based pipeline, per stage.

@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <vector>
 
@@ -208,7 +209,8 @@ std::size_t expect_collect_matches_scan(const ColumnarRun& run,
 TEST(ColumnarRunTest, CollectMatchesFullScan) {
   svg::util::Xoshiro256 rng(99);
   for (const std::size_t n : {1u, 15u, 16u, 17u, 257u, 4096u, 70'000u}) {
-    const auto run = ColumnarRun::build(run_rows(n, rng), {});
+    const FovColumns rows = run_rows(n, rng);
+    const auto run = ColumnarRun::build({&rows}, {});
     ASSERT_EQ(run->size(), n);
     run->check_invariants();
     const std::size_t blocks = expect_collect_matches_scan(*run, rng);
@@ -226,9 +228,70 @@ TEST(ColumnarRunTest, CollectMatchesFullScan) {
   for (std::size_t i = 0; i < rows.size(); i += 3) {
     (i % 2 == 0 ? rows.lng : rows.lat)[i] = huge[rng.bounded(6)];
   }
-  const auto run = ColumnarRun::build(rows, {});
+  const auto run = ColumnarRun::build({&rows}, {});
   run->check_invariants();
   (void)expect_collect_matches_scan(*run, rng);
+}
+
+// A run built from parts equals one built from their concatenation: the
+// same columns, the same block levels, the same time bounds.
+TEST(ColumnarRunTest, PartsBuildEqualsConcatenation) {
+  svg::util::Xoshiro256 rng(77);
+  for (int round = 0; round < 40; ++round) {
+    const std::size_t n_parts = 1 + rng.bounded(5);
+    std::vector<FovColumns> parts;
+    FovColumns whole;
+    for (std::size_t p = 0; p < n_parts; ++p) {
+      const std::size_t n = rng.bounded(4) == 0
+                                ? 1
+                                : 1 + rng.bounded(round < 30 ? 300 : 5000);
+      parts.push_back(run_rows(n, rng));
+      if (round % 3 == 0 && p > 0) {
+        // Rows tying the previous part's on every key.
+        parts[p].lng[0] = parts[p - 1].lng.back();
+        parts[p].lat[0] = parts[p - 1].lat.back();
+        parts[p].ts[0] = parts[p - 1].ts.back();
+        parts[p].te[0] = parts[p - 1].te.back();
+      }
+      for (std::size_t i = 0; i < parts[p].size(); ++i) {
+        whole.push_back(parts[p].rep_at(i));
+      }
+    }
+    std::vector<const FovColumns*> ptrs;
+    for (const FovColumns& p : parts) ptrs.push_back(&p);
+    const auto got = ColumnarRun::build(ptrs, {});
+    const auto want = ColumnarRun::build({&whole}, {});
+    got->check_invariants();
+    const FovColumns& a = got->cols();
+    const FovColumns& b = want->cols();
+    const auto same_bits = [](const std::vector<double>& x,
+                              const std::vector<double>& y) {
+      return x.size() == y.size() &&
+             std::memcmp(x.data(), y.data(), x.size() * sizeof(double)) == 0;
+    };
+    ASSERT_EQ(a.size(), whole.size()) << "round " << round;
+    EXPECT_TRUE(same_bits(a.lng, b.lng)) << "round " << round;
+    EXPECT_TRUE(same_bits(a.lat, b.lat)) << "round " << round;
+    EXPECT_TRUE(same_bits(a.theta, b.theta)) << "round " << round;
+    EXPECT_TRUE(same_bits(a.dir_east, b.dir_east)) << "round " << round;
+    EXPECT_TRUE(same_bits(a.dir_north, b.dir_north)) << "round " << round;
+    EXPECT_EQ(a.ts, b.ts) << "round " << round;
+    EXPECT_EQ(a.te, b.te) << "round " << round;
+    EXPECT_EQ(a.video_id, b.video_id) << "round " << round;
+    EXPECT_EQ(a.segment_id, b.segment_id) << "round " << round;
+    EXPECT_EQ(got->ts_min(), want->ts_min()) << "round " << round;
+    EXPECT_EQ(got->ts_max(), want->ts_max()) << "round " << round;
+    ASSERT_EQ(got->levels().size(), want->levels().size()) << "round " << round;
+    for (std::size_t l = 0; l < got->levels().size(); ++l) {
+      const auto& x = got->levels()[l];
+      const auto& y = want->levels()[l];
+      ASSERT_EQ(x.size(), y.size()) << "round " << round << ", level " << l;
+      EXPECT_EQ(std::memcmp(x.data(), y.data(),
+                            x.size() * sizeof(ColumnarRun::BlockEntry)),
+                0)
+          << "round " << round << ", level " << l;
+    }
+  }
 }
 
 }  // namespace

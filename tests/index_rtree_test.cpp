@@ -7,7 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <cmath>
+#include <numeric>
 #include <set>
+#include <type_traits>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -299,6 +303,179 @@ TEST(RTreeBulkLoadTest, EmptyAndTiny) {
   EXPECT_EQ(one.size(), 1u);
   EXPECT_EQ(tree_query(one, Box3{{0, 0, 0}, {2, 2, 2}}),
             (std::vector<std::uint64_t>{5}));
+}
+
+namespace {
+
+/// The STR tiler as it stood before the id permutation (verbatim but for
+/// the box accessor): sort the items through an index permutation, move
+/// them, and recurse on a copy of every slice. The reference the in-place
+/// id tiler must reproduce, ties included.
+template <typename Vec, typename BoxOf>
+void reference_str_tile(Vec& items, std::size_t dim, std::size_t capacity,
+                        BoxOf box_of) {
+  constexpr std::size_t N = 3;
+  if (items.size() <= capacity || dim >= N) return;
+  const std::size_t n = items.size();
+  std::vector<double> keys(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const Box3& b = box_of(items[i]);
+    keys[i] = b.min[dim] + b.max[dim];
+  }
+  std::vector<std::uint32_t> order(n);
+  std::iota(order.begin(), order.end(), 0u);
+  std::sort(order.begin(), order.end(),
+            [&keys](std::uint32_t a, std::uint32_t b) {
+              return keys[a] < keys[b];
+            });
+  {
+    Vec sorted;
+    sorted.reserve(n);
+    for (const std::uint32_t i : order) sorted.push_back(std::move(items[i]));
+    items = std::move(sorted);
+  }
+  const auto n_nodes =
+      static_cast<double>((items.size() + capacity - 1) / capacity);
+  const auto slices = static_cast<std::size_t>(std::max(
+      1.0, std::ceil(std::pow(n_nodes, 1.0 / static_cast<double>(N - dim)))));
+  const std::size_t slice_len = (items.size() + slices - 1) / slices;
+  if (slice_len >= items.size()) {
+    if (dim + 1 < N) reference_str_tile(items, dim + 1, capacity, box_of);
+    return;
+  }
+  for (std::size_t i = 0; i < items.size(); i += slice_len) {
+    const std::size_t end = std::min(items.size(), i + slice_len);
+    Vec slice(std::make_move_iterator(items.begin() + i),
+              std::make_move_iterator(items.begin() + end));
+    reference_str_tile(slice, dim + 1, capacity, box_of);
+    std::move(slice.begin(), slice.end(), items.begin() + i);
+  }
+}
+
+/// Point-like boxes in one of three tie patterns: 0 = distinct keys,
+/// 1 = every 7th entry repeats its predecessor's position, 2 = a coarse
+/// 6 x 6 x 4 grid where most keys tie.
+std::vector<Tree::Entry> tie_pattern(std::size_t n, int pattern,
+                                     svg::util::Xoshiro256& rng) {
+  std::vector<Tree::Entry> out;
+  out.reserve(n);
+  for (std::uint64_t i = 0; i < n; ++i) {
+    Box3 b;
+    if (pattern == 2) {
+      for (std::size_t d = 0; d < 3; ++d) {
+        b.min[d] = static_cast<double>(rng.bounded(d == 2 ? 4 : 6));
+      }
+      b.max = b.min;
+      b.max[2] += 0.5;
+    } else if (pattern == 1 && i % 7 == 6) {
+      b = out.back().box;
+    } else {
+      b = random_box(rng, 100.0, 0.0);
+      b.max[2] = b.min[2] + rng.uniform(0.0, 2.0);
+    }
+    out.push_back({b, i});
+  }
+  return out;
+}
+
+std::vector<std::uint64_t> values_of(const std::vector<Tree::Entry>& v) {
+  std::vector<std::uint64_t> out;
+  for (const auto& e : v) out.push_back(e.value);
+  return out;
+}
+
+}  // namespace
+
+// str_order (through str_sort) lays items out exactly as the entry-moving
+// tiler did, so every run and bulk-loaded tree keeps its layout.
+TEST(RTreeStrOrderTest, MatchesEntryMovingTiler) {
+  svg::util::Xoshiro256 rng(21);
+  for (const std::size_t cap : {8u, 16u}) {
+    const std::size_t sizes[] = {1,   cap - 1, cap,  cap + 1, 255,
+                                 256, 257,     4095, 4096,    4097, 70'000};
+    for (const std::size_t n : sizes) {
+      for (int pattern = 0; pattern < 3; ++pattern) {
+        const auto entries = tie_pattern(n, pattern, rng);
+        auto expect = entries;
+        reference_str_tile(expect, 0, cap,
+                           [](const Tree::Entry& e) -> const Box3& {
+                             return e.box;
+                           });
+        auto got = entries;
+        Tree::str_sort(got, cap);
+        ASSERT_EQ(values_of(got), values_of(expect))
+            << n << " entries, capacity " << cap << ", pattern " << pattern;
+
+        std::array<std::vector<double>, 3> keys;
+        for (const auto& e : entries) {
+          for (std::size_t d = 0; d < 3; ++d) {
+            keys[d].push_back(e.box.min[d] + e.box.max[d]);
+          }
+        }
+        const auto order = Tree::str_order(keys, cap);
+        ASSERT_EQ(order.size(), n);
+        for (std::size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(order[i], expect[i].value) << n << " entries, at " << i;
+        }
+      }
+    }
+  }
+}
+
+// bulk_load visits its entries in the reference packing's leaf order: leaves
+// tiled by the reference tiler, each node level above tiled the same way.
+TEST(RTreeStrOrderTest, BulkLoadVisitsInReferenceLeafOrder) {
+  svg::util::Xoshiro256 rng(22);
+  /// A reference node: its box and its entries' values in visit order.
+  struct RefNode {
+    Box3 box;
+    std::vector<std::uint64_t> values;
+  };
+  const auto box_of = [](const auto& item) -> const Box3& {
+    return item.box;
+  };
+  const auto pack = [](auto& items, std::size_t cap) {
+    std::vector<RefNode> up;
+    std::size_t pos = 0;
+    for (const std::size_t count : Tree::pack_counts(items.size(), cap)) {
+      RefNode node{Box3::empty(), {}};
+      for (std::size_t j = 0; j < count; ++j, ++pos) {
+        node.box.expand(items[pos].box);
+        if constexpr (std::is_same_v<std::decay_t<decltype(items[pos])>,
+                                     Tree::Entry>) {
+          node.values.push_back(items[pos].value);
+        } else {
+          node.values.insert(node.values.end(), items[pos].values.begin(),
+                             items[pos].values.end());
+        }
+      }
+      up.push_back(std::move(node));
+    }
+    return up;
+  };
+  for (const std::size_t cap : {8u, 16u}) {
+    for (const std::size_t n : {1u, 17u, 257u, 4097u, 70'000u}) {
+      for (int pattern = 0; pattern < 3; ++pattern) {
+        auto entries = tie_pattern(n, pattern, rng);
+        auto leaves = entries;
+        reference_str_tile(leaves, 0, cap, box_of);
+        std::vector<RefNode> level = pack(leaves, cap);
+        while (level.size() > 1) {
+          reference_str_tile(level, 0, cap, box_of);
+          level = pack(level, cap);
+        }
+        const Tree tree = Tree::bulk_load(std::move(entries),
+                                          RTreeOptions{cap, cap / 2});
+        std::vector<std::uint64_t> visited;
+        tree.query(Box3{{-1e9, -1e9, -1e9}, {1e9, 1e9, 1e9}},
+                   [&](const Box3&, const std::uint64_t& v) {
+                     visited.push_back(v);
+                   });
+        ASSERT_EQ(visited, level.front().values)
+            << n << " entries, capacity " << cap << ", pattern " << pattern;
+      }
+    }
+  }
 }
 
 TEST(RTreeTest, MixedInsertEraseStressWithInvariants) {

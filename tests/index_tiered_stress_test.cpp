@@ -63,6 +63,7 @@ TEST(TieredStressTest, ConcurrentWritersSealingMidQuery) {
   for (int t = 0; t < 3; ++t) {
     readers.emplace_back([&] {
       while (!stop.load(std::memory_order_acquire)) {
+        const auto scan_start = std::chrono::steady_clock::now();
         // Per-(writer, seq) visibility bitmap for this scan.
         std::vector<std::uint8_t> seen(kTotal, 0);
         bool dup = false;
@@ -77,9 +78,15 @@ TEST(TieredStressTest, ConcurrentWritersSealingMidQuery) {
           partial.fetch_add(1, std::memory_order_relaxed);
         }
         // glibc's shared_mutex prefers readers: scans run back to back
-        // would keep the writers locked out for seconds, so each reader
-        // pauses between scans to let them in.
-        std::this_thread::sleep_for(std::chrono::microseconds(20));
+        // would keep the writers locked out, so each reader pauses between
+        // scans for as long as its last scan took (20 µs at least). A
+        // fixed pause let readers whose scans take milliseconds (under
+        // TSan) hold the writers off for over a minute.
+        const std::chrono::steady_clock::duration last_scan =
+            std::chrono::steady_clock::now() - scan_start;
+        std::this_thread::sleep_for(
+            std::max<std::chrono::steady_clock::duration>(
+                last_scan, std::chrono::microseconds(20)));
       }
     });
   }
