@@ -23,23 +23,9 @@ geo::Box3 FovIndex::to_box(const GeoTimeRange& range) const {
   return b;
 }
 
-FovHandle FovIndex::insert(const core::RepresentativeFov& rep) {
-  const auto handle = static_cast<FovHandle>(slots_.size());
+void FovIndex::insert(const core::RepresentativeFov& rep) {
+  tree_.insert(to_box(rep), static_cast<std::uint32_t>(slots_.size()));
   slots_.push_back(rep);
-  alive_.push_back(true);
-  tree_.insert(to_box(rep), handle);
-  ++live_;
-  return handle;
-}
-
-bool FovIndex::erase(FovHandle handle) {
-  if (handle >= slots_.size() || !alive_[handle]) return false;
-  const bool removed = tree_.erase(to_box(slots_[handle]), handle);
-  if (removed) {
-    alive_[handle] = false;
-    --live_;
-  }
-  return removed;
 }
 
 std::vector<core::RepresentativeFov> FovIndex::query_collect(
@@ -52,44 +38,22 @@ std::vector<core::RepresentativeFov> FovIndex::query_collect(
 }
 
 std::vector<core::RepresentativeFov> FovIndex::snapshot() const {
-  std::vector<core::RepresentativeFov> out;
-  out.reserve(live_);
-  for (std::size_t i = 0; i < slots_.size(); ++i) {
-    if (alive_[i]) out.push_back(slots_[i]);
-  }
-  return out;
+  return {slots_.begin(), slots_.end()};
 }
 
 FovIndex FovIndex::bulk_load(const std::vector<core::RepresentativeFov>& reps,
                              FovIndexOptions options) {
   FovIndex idx(options);
-  std::vector<RTree<FovHandle, 3>::Entry> entries;
+  std::vector<RTree<std::uint32_t, 3>::Entry> entries;
   entries.reserve(reps.size());
   for (const auto& rep : reps) {
-    const auto handle = static_cast<FovHandle>(idx.slots_.size());
+    entries.push_back(
+        {idx.to_box(rep), static_cast<std::uint32_t>(idx.slots_.size())});
     idx.slots_.push_back(rep);
-    idx.alive_.push_back(true);
-    entries.push_back({idx.to_box(rep), handle});
   }
-  idx.live_ = reps.size();
-  idx.tree_ = RTree<FovHandle, 3>::bulk_load(std::move(entries),
-                                             options.rtree);
+  idx.tree_ = RTree<std::uint32_t, 3>::bulk_load(std::move(entries),
+                                                 options.rtree);
   return idx;
-}
-
-FovHandle LinearIndex::insert(const core::RepresentativeFov& rep) {
-  const auto handle = static_cast<FovHandle>(slots_.size());
-  slots_.push_back(rep);
-  alive_.push_back(true);
-  ++live_;
-  return handle;
-}
-
-bool LinearIndex::erase(FovHandle handle) {
-  if (handle >= slots_.size() || !alive_[handle]) return false;
-  alive_[handle] = false;
-  --live_;
-  return true;
 }
 
 std::vector<core::RepresentativeFov> LinearIndex::query_collect(

@@ -3,7 +3,8 @@
 // interval [ts, te] becomes the degenerate 3-D rectangle
 // min = [lng, lat, ts], max = [lng, lat, te] in an R-tree — the paper's
 // index of Fig. 6(b)/(c). A linear-scan baseline with the same range query
-// backs the Fig. 6(c) comparison. Neither is synchronized: the server
+// backs the Fig. 6(c) comparison. Both are insert-only, like the paper's
+// server, which only ever adds FoVs. Neither is synchronized: the server
 // serves concurrent queriers from the tiered index (tiered_fov_index.hpp),
 // which the tests and the end-to-end benchmark check against FovIndex as
 // the oracle. Every query runs through retrieval::RetrievalEngine.
@@ -34,39 +35,33 @@ struct FovIndexOptions {
   double ms_to_units = 0.05 / 86'400'000.0;
 };
 
-/// Opaque handle returned by insert(); needed for erase().
-using FovHandle = std::uint32_t;
-
 /// R-tree backed spatio-temporal index over representative FoVs.
 class FovIndex {
  public:
   explicit FovIndex(FovIndexOptions options = {});
 
-  /// Insert a representative FoV; O(log n). Returns a handle for erase().
-  FovHandle insert(const core::RepresentativeFov& rep);
-
-  /// Remove a previously inserted FoV. Returns false for unknown/stale
-  /// handles.
-  bool erase(FovHandle handle);
+  /// Insert a representative FoV; O(log n).
+  void insert(const core::RepresentativeFov& rep);
 
   /// Visit every stored FoV whose rectangle intersects the range. The
   /// visitor is a template parameter so the R-tree descent inlines the
   /// per-candidate call — no type erasure on the hot path.
   template <typename F>
   void query(const GeoTimeRange& range, F&& visit) const {
-    tree_.query(to_box(range),
-                [&](const geo::Box3&, const FovHandle& h) { visit(slots_[h]); });
+    tree_.query(to_box(range), [&](const geo::Box3&, std::uint32_t slot) {
+      visit(slots_[slot]);
+    });
   }
 
   /// Convenience: collect matches.
   [[nodiscard]] std::vector<core::RepresentativeFov> query_collect(
       const GeoTimeRange& range) const;
 
-  [[nodiscard]] std::size_t size() const noexcept { return live_; }
+  [[nodiscard]] std::size_t size() const noexcept { return slots_.size(); }
   [[nodiscard]] RTreeStats stats() const { return tree_.stats(); }
   void check_invariants() const { tree_.check_invariants(); }
 
-  /// All live entries, in insertion order — for snapshots and rebuilds.
+  /// Every entry, in insertion order — for snapshots and rebuilds.
   [[nodiscard]] std::vector<core::RepresentativeFov> snapshot() const;
 
   /// Offline construction via STR packing (ablation vs dynamic insert).
@@ -78,23 +73,19 @@ class FovIndex {
   [[nodiscard]] geo::Box3 to_box(const GeoTimeRange& range) const;
 
   FovIndexOptions options_;
-  RTree<FovHandle, 3> tree_;
+  /// Tree values are slot numbers: insertion order, from 0.
+  RTree<std::uint32_t, 3> tree_;
   std::deque<core::RepresentativeFov> slots_;  // stable storage
-  std::vector<bool> alive_;
-  std::size_t live_ = 0;
 };
 
 /// Brute-force baseline: the same range query in O(n) — the "naive
 /// linear search" the paper compares against in Fig. 6(c).
 class LinearIndex {
  public:
-  FovHandle insert(const core::RepresentativeFov& rep);
-  bool erase(FovHandle handle);
+  void insert(const core::RepresentativeFov& rep) { slots_.push_back(rep); }
   template <typename F>
   void query(const GeoTimeRange& range, F&& visit) const {
-    for (std::size_t i = 0; i < slots_.size(); ++i) {
-      if (!alive_[i]) continue;
-      const auto& rep = slots_[i];
+    for (const auto& rep : slots_) {
       if (rep.fov.p.lng < range.lng_min || rep.fov.p.lng > range.lng_max ||
           rep.fov.p.lat < range.lat_min || rep.fov.p.lat > range.lat_max) {
         continue;
@@ -105,12 +96,10 @@ class LinearIndex {
   }
   [[nodiscard]] std::vector<core::RepresentativeFov> query_collect(
       const GeoTimeRange& range) const;
-  [[nodiscard]] std::size_t size() const noexcept { return live_; }
+  [[nodiscard]] std::size_t size() const noexcept { return slots_.size(); }
 
  private:
   std::deque<core::RepresentativeFov> slots_;
-  std::vector<bool> alive_;
-  std::size_t live_ = 0;
 };
 
 }  // namespace svg::index

@@ -1,12 +1,12 @@
 #pragma once
 // A dynamic R-tree (Guttman, SIGMOD'84 — the paper's reference [11]),
 // implemented from scratch: ChooseLeaf by least volume enlargement,
-// quadratic split, AdjustTree propagation, and deletion with CondenseTree +
-// reinsertion. Generic over dimension N and payload T; the FoV index
-// instantiates it with N = 3 over (lng, lat, time).
+// quadratic split and AdjustTree propagation. It is insert-only, like the
+// paper's server, which only ever adds FoVs. Generic over dimension N and
+// payload T; the FoV index instantiates it with N = 3 over (lng, lat, time).
 //
 // Every node caches its bounding box; insertion expands boxes on the way
-// down and splits/deletes recompute only the affected nodes, so inserts are
+// down and a split recomputes only its two halves, so inserts are
 // O(M log_M n) as the paper's per-insert millisecond figures require.
 //
 // An STR ("sort-tile-recursive"; Leutenegger, Lopez and Edgington, ICDE
@@ -30,7 +30,6 @@
 #include <memory>
 #include <numeric>
 #include <stdexcept>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -40,7 +39,7 @@ namespace svg::index {
 
 struct RTreeOptions {
   std::size_t max_entries = 16;  ///< node capacity M
-  std::size_t min_entries = 6;   ///< underflow bound m <= M/2
+  std::size_t min_entries = 6;   ///< minimum node fill m <= M/2
 
   void validate() const {
     if (max_entries < 2) {
@@ -109,45 +108,17 @@ class RTree {
 
   /// Insert a (box, value) pair. O(M log_M n).
   void insert(const BoxN& box, T value) {
-    if (!root_) {
-      root_ = std::make_unique<Node>(/*leaf=*/true, /*height=*/0);
-    }
-    insert_entry(Entry{box, std::move(value)});
+    if (!root_) root_ = std::make_unique<Node>(/*leaf=*/true);
+    std::vector<Node*> path;
+    Node* leaf = choose_leaf(box, path);
+    leaf->entries.push_back(Entry{box, std::move(value)});
+    maybe_split_up(leaf, path);
     ++size_;
   }
 
-  /// Remove one entry matching (box, value) exactly (values compared with
-  /// ==). Returns false when absent. Underflowing nodes are condensed and
-  /// their contents reinserted, per Guttman's Delete.
-  bool erase(const BoxN& box, const T& value) {
-    if (!root_) return false;
-    std::vector<Node*> path;
-    Node* leaf = find_leaf(root_.get(), box, value, path);
-    if (!leaf) return false;
-
-    auto& entries = leaf->entries;
-    auto it = std::find_if(entries.begin(), entries.end(),
-                           [&](const Entry& e) {
-                             return e.box == box && e.value == value;
-                           });
-    assert(it != entries.end());
-    entries.erase(it);
-    --size_;
-    recompute_box(leaf);
-    condense_tree(leaf, path);
-
-    // Shrink the tree when a non-leaf root has a single child.
-    while (root_ && !root_->leaf && root_->children.size() == 1) {
-      root_ = std::move(root_->children.front());
-    }
-    if (size_ == 0) root_.reset();
-    return true;
-  }
-
-  /// Visit every entry whose box intersects `query`. The callback may
-  /// return void, or bool (false stops the search early). Concurrent
-  /// queries are safe (the tree is read-only here): the work metric is
-  /// accumulated locally and published once per query.
+  /// Visit every entry whose box intersects `query`. Concurrent queries
+  /// are safe (the tree is read-only here): the work metric is accumulated
+  /// locally and published once per query.
   template <typename F>
   void query(const BoxN& query, F&& visit) const {
     std::size_t visited = 0;
@@ -162,11 +133,6 @@ class RTree {
         boxes_visited_.load(std::memory_order_relaxed);
     if (root_) collect_stats(root_.get(), 1, s);
     return s;
-  }
-
-  /// Bounding box of the whole tree (inverted/empty box when empty).
-  [[nodiscard]] BoxN bounds() const {
-    return root_ ? root_->box : BoxN::empty();
   }
 
   /// Structural invariant check for tests: fanout within [m, M] (root
@@ -261,7 +227,7 @@ class RTree {
     {
       std::size_t pos = 0;
       for (const std::size_t count : leaf_counts) {
-        auto node = std::make_unique<Node>(/*leaf=*/true, /*height=*/0);
+        auto node = std::make_unique<Node>(/*leaf=*/true);
         node->entries.reserve(count);
         for (std::size_t j = 0; j < count; ++j) {
           node->entries.push_back(std::move(entries[pos++]));
@@ -271,9 +237,7 @@ class RTree {
       }
     }
 
-    int height = 0;
     while (level.size() > 1) {
-      ++height;
       // Sort-tile the node boxes, then pack.
       str_sort(level, options.max_entries);
       const auto counts = pack_counts(level.size(), options.max_entries);
@@ -281,7 +245,7 @@ class RTree {
       next.reserve(counts.size());
       std::size_t pos = 0;
       for (const std::size_t count : counts) {
-        auto node = std::make_unique<Node>(/*leaf=*/false, height);
+        auto node = std::make_unique<Node>(/*leaf=*/false);
         node->children.reserve(count);
         for (std::size_t j = 0; j < count; ++j) {
           node->children.push_back(std::move(level[pos++]));
@@ -297,9 +261,8 @@ class RTree {
 
  private:
   struct Node {
-    Node(bool is_leaf, int h) : leaf(is_leaf), height(h) {}
+    explicit Node(bool is_leaf) : leaf(is_leaf) {}
     bool leaf;
-    int height;  ///< 0 at leaves, +1 per level up
     BoxN box = BoxN::empty();
     std::vector<Entry> entries;                   // leaf payload
     std::vector<std::unique_ptr<Node>> children;  // internal fanout
@@ -321,22 +284,13 @@ class RTree {
 
   // --- insertion -----------------------------------------------------------
 
-  void insert_entry(Entry entry) {
-    std::vector<Node*> path;
-    Node* leaf = choose_node(entry.box, /*target_height=*/0, path);
-    leaf->entries.push_back(std::move(entry));
-    maybe_split_up(leaf, path);
-  }
-
-  /// Descend by least volume enlargement (ties: smaller volume) to the node
-  /// at `target_height`, expanding cached boxes along the way (AdjustTree's
-  /// growth direction handled eagerly, so a new entry needs no upward box
-  /// pass).
-  Node* choose_node(const BoxN& box, int target_height,
-                    std::vector<Node*>& path) {
+  /// ChooseLeaf: descend by least volume enlargement (ties: smaller
+  /// volume), expanding cached boxes along the way (AdjustTree's growth
+  /// direction handled eagerly, so a new entry needs no upward box pass).
+  Node* choose_leaf(const BoxN& box, std::vector<Node*>& path) {
     Node* node = root_.get();
     node->box.expand(box);
-    while (node->height > target_height) {
+    while (!node->leaf) {
       path.push_back(node);
       Node* best = nullptr;
       double best_enlargement = 0.0;
@@ -361,8 +315,7 @@ class RTree {
     while (node->fanout() > options_.max_entries) {
       auto sibling = split_node(node);
       if (path.empty()) {
-        auto new_root = std::make_unique<Node>(/*leaf=*/false,
-                                               node->height + 1);
+        auto new_root = std::make_unique<Node>(/*leaf=*/false);
         new_root->children.push_back(std::move(root_));
         new_root->children.push_back(std::move(sibling));
         recompute_box(new_root.get());
@@ -382,7 +335,7 @@ class RTree {
   /// together, then greedily assign by enlargement preference, forcing
   /// assignment when a group must absorb the rest to reach m.
   std::unique_ptr<Node> split_node(Node* node) {
-    auto sibling = std::make_unique<Node>(node->leaf, node->height);
+    auto sibling = std::make_unique<Node>(node->leaf);
     if (node->leaf) {
       split_items(node->entries, sibling->entries,
                   [](const Entry& e) -> const BoxN& { return e.box; });
@@ -488,107 +441,24 @@ class RTree {
     items = std::move(keep);
   }
 
-  // --- deletion ------------------------------------------------------------
-
-  Node* find_leaf(Node* node, const BoxN& box, const T& value,
-                  std::vector<Node*>& path) {
-    if (node->leaf) {
-      for (const auto& e : node->entries) {
-        if (e.box == box && e.value == value) return node;
-      }
-      return nullptr;
-    }
-    for (const auto& child : node->children) {
-      if (child->box.intersects(box)) {
-        path.push_back(node);
-        if (Node* found = find_leaf(child.get(), box, value, path)) {
-          return found;
-        }
-        path.pop_back();
-      }
-    }
-    return nullptr;
-  }
-
-  void condense_tree(Node* node, std::vector<Node*>& path) {
-    std::vector<Entry> orphan_entries;
-    std::vector<std::unique_ptr<Node>> orphan_nodes;
-
-    while (!path.empty()) {
-      Node* parent = path.back();
-      path.pop_back();
-      if (node->fanout() < options_.min_entries) {
-        auto it = std::find_if(
-            parent->children.begin(), parent->children.end(),
-            [&](const std::unique_ptr<Node>& c) { return c.get() == node; });
-        assert(it != parent->children.end());
-        std::unique_ptr<Node> detached = std::move(*it);
-        parent->children.erase(it);
-        if (detached->leaf) {
-          for (auto& e : detached->entries) {
-            orphan_entries.push_back(std::move(e));
-          }
-        } else {
-          for (auto& c : detached->children) {
-            orphan_nodes.push_back(std::move(c));
-          }
-        }
-      }
-      recompute_box(parent);
-      node = parent;
-    }
-
-    for (auto& e : orphan_entries) {
-      insert_entry(std::move(e));
-    }
-    for (auto& child : orphan_nodes) {
-      reinsert_subtree(std::move(child));
-    }
-  }
-
-  /// Reattach a whole subtree at the level matching its height.
-  void reinsert_subtree(std::unique_ptr<Node> subtree) {
-    if (!root_ || root_->height <= subtree->height) {
-      // The tree shrank below the subtree: dissolve it one level.
-      if (subtree->leaf) {
-        for (auto& e : subtree->entries) insert_entry(std::move(e));
-      } else {
-        for (auto& c : subtree->children) reinsert_subtree(std::move(c));
-      }
-      return;
-    }
-    std::vector<Node*> path;
-    Node* host = choose_node(subtree->box, subtree->height + 1, path);
-    host->children.push_back(std::move(subtree));
-    maybe_split_up(host, path);
-  }
-
   // --- query ---------------------------------------------------------------
 
   template <typename F>
-  bool query_impl(const Node* node, const BoxN& query, F& visit,
+  void query_impl(const Node* node, const BoxN& query, F& visit,
                   std::size_t& visited) const {
     if (node->leaf) {
       for (const auto& e : node->entries) {
         ++visited;
-        if (e.box.intersects(query)) {
-          if constexpr (std::is_invocable_r_v<bool, F&, const BoxN&,
-                                              const T&>) {
-            if (!visit(e.box, e.value)) return false;
-          } else {
-            visit(e.box, e.value);
-          }
-        }
+        if (e.box.intersects(query)) visit(e.box, e.value);
       }
-      return true;
+      return;
     }
     for (const auto& child : node->children) {
       ++visited;
       if (child->box.intersects(query)) {
-        if (!query_impl(child.get(), query, visit, visited)) return false;
+        query_impl(child.get(), query, visit, visited);
       }
     }
-    return true;
   }
 
   void collect_stats(const Node* node, std::size_t depth,
@@ -625,7 +495,6 @@ class RTree {
       throw std::logic_error("rtree: stale cached box");
     }
     if (node->leaf) {
-      if (node->height != 0) throw std::logic_error("rtree: leaf height != 0");
       if (leaf_depth == -1) {
         leaf_depth = depth;
       } else if (leaf_depth != depth) {
@@ -638,9 +507,6 @@ class RTree {
       throw std::logic_error("rtree: empty internal node");
     }
     for (const auto& c : node->children) {
-      if (c->height != node->height - 1) {
-        throw std::logic_error("rtree: child height mismatch");
-      }
       check_node(c.get(), false, depth + 1, leaf_depth, counted);
     }
   }

@@ -312,13 +312,7 @@ TieredFovIndex::~TieredFovIndex() {
   }
 }
 
-void TieredFovIndex::append_locked(const core::RepresentativeFov& rep) {
-  memtable_.push_back(rep);
-  ++rows_;
-}
-
-std::shared_ptr<const FovColumns> TieredFovIndex::maybe_seal_locked() {
-  if (memtable_.size() < options_.memtable_capacity) return nullptr;
+std::shared_ptr<const FovColumns> TieredFovIndex::seal_locked() {
   auto sealed = std::make_shared<FovColumns>(std::move(memtable_));
   memtable_ = FovColumns{};
   memtable_.reserve(options_.memtable_capacity);
@@ -350,21 +344,7 @@ void TieredFovIndex::build_and_publish(
 }
 
 void TieredFovIndex::insert(const core::RepresentativeFov& rep) {
-  auto& m = obs::index_metrics();
-  obs::ScopedTimer timer(m.insert_ns);
-  std::shared_ptr<const FovColumns> sealed;
-  std::size_t memtable_rows;
-  {
-    std::unique_lock lock(mutex_);
-    append_locked(rep);
-    sealed = maybe_seal_locked();
-    memtable_rows = memtable_.size();
-    m.size.set(static_cast<std::int64_t>(rows_));
-  }
-  m.inserts.inc();
-  obs::index_run_metrics().memtable_rows.set(
-      static_cast<std::int64_t>(memtable_rows));
-  if (sealed) build_and_publish(sealed);
+  insert_batch({&rep, 1});
 }
 
 void TieredFovIndex::insert_batch(
@@ -382,9 +362,12 @@ void TieredFovIndex::insert_batch(
       // costs one acquisition per memtable_capacity rows, not per row.
       while (done < reps.size() &&
              memtable_.size() < options_.memtable_capacity) {
-        append_locked(reps[done++]);
+        memtable_.push_back(reps[done++]);
+        ++rows_;
       }
-      sealed = maybe_seal_locked();
+      if (memtable_.size() >= options_.memtable_capacity) {
+        sealed = seal_locked();
+      }
       memtable_rows = memtable_.size();
       m.size.set(static_cast<std::int64_t>(rows_));
     }
@@ -481,10 +464,7 @@ bool TieredFovIndex::seal_now() {
   {
     std::unique_lock lock(mutex_);
     if (memtable_.empty()) return false;
-    sealed = std::make_shared<FovColumns>(std::move(memtable_));
-    memtable_ = FovColumns{};
-    memtable_.reserve(options_.memtable_capacity);
-    sealing_.push_back(sealed);
+    sealed = seal_locked();
   }
   obs::index_run_metrics().memtable_rows.set(0);
   build_and_publish(sealed);

@@ -178,12 +178,12 @@ class TieredFovIndex {
     return options_;
   }
 
-  /// Insert one representative FoV. O(1) append; at the seal threshold the
-  /// inserting thread additionally packs the sealed buffer into a run
-  /// outside the lock.
+  /// Insert one representative FoV: a batch of one.
   void insert(const core::RepresentativeFov& rep);
 
   /// Insert an upload burst under one lock acquisition per seal interval.
+  /// Appends are O(1); at the seal threshold the inserting thread also
+  /// packs the sealed buffer into a run outside the lock.
   void insert_batch(std::span<const core::RepresentativeFov> reps);
 
   /// Visit every FoV intersecting the range: linear columnar scan of
@@ -294,11 +294,9 @@ class TieredFovIndex {
     return hits;
   }
 
-  /// Append under an already-held exclusive lock.
-  void append_locked(const core::RepresentativeFov& rep);
-  /// At/above capacity: move the memtable into sealing_ (still queryable)
-  /// and hand it back for packing; nullptr below the threshold.
-  std::shared_ptr<const FovColumns> maybe_seal_locked();
+  /// Move the memtable into sealing_ (still queryable) and hand it back
+  /// for packing. Under an already-held exclusive lock.
+  std::shared_ptr<const FovColumns> seal_locked();
   /// Pack a sealed buffer into a run (outside any lock) and publish it.
   void build_and_publish(const std::shared_ptr<const FovColumns>& sealed);
   void compactor_loop();

@@ -238,9 +238,9 @@ struct ClusterRepairMetrics {
   Histogram& repair_ns;        ///< repair_round wall time
 };
 
-/// store::Scrubber (svg_store_scrub_*): background verification of data at
-/// rest — WAL segments and snapshots re-read and CRC-checked on a cadence,
-/// with corrupt artifacts quarantined (docs/ROBUSTNESS.md).
+/// store::scrub_directory (svg_store_scrub_*): verification of data at
+/// rest — WAL segments and snapshots re-read and CRC-checked, one pass per
+/// call, with corrupt artifacts quarantined (docs/ROBUSTNESS.md).
 struct StoreScrubMetrics {
   Counter& passes;              ///< scrub passes completed
   Counter& segments_scanned;    ///< WAL segments verified

@@ -1,6 +1,5 @@
 #include "store/scrub.hpp"
 
-#include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <utility>
@@ -150,54 +149,6 @@ ScrubReport scrub_directory(const std::string& dir,
                      report.wal_segments + report.snapshots,
                      report.findings.size(), report.bytes_verified);
   return report;
-}
-
-Scrubber::Scrubber(std::string dir, std::uint32_t interval_ms,
-                   ScrubOptions opts, PassHook on_pass)
-    : dir_(std::move(dir)),
-      opts_(opts),
-      on_pass_(std::move(on_pass)),
-      interval_ms_(interval_ms) {
-  if (interval_ms_ > 0) thread_ = std::thread([this] { run(); });
-}
-
-Scrubber::~Scrubber() {
-  {
-    std::lock_guard lock(mu_);
-    stop_ = true;
-  }
-  cv_.notify_all();
-  if (thread_.joinable()) thread_.join();
-}
-
-ScrubReport Scrubber::pass_now() {
-  ScrubReport report = scrub_directory(dir_, opts_);
-  {
-    std::lock_guard lock(mu_);
-    ++passes_;
-  }
-  if (on_pass_) on_pass_(report);
-  return report;
-}
-
-std::uint64_t Scrubber::passes() const {
-  std::lock_guard lock(mu_);
-  return passes_;
-}
-
-void Scrubber::run() {
-  std::unique_lock lock(mu_);
-  while (!stop_) {
-    if (cv_.wait_for(lock, std::chrono::milliseconds(interval_ms_),
-                     [this] { return stop_; })) {
-      return;
-    }
-    lock.unlock();
-    ScrubReport report = scrub_directory(dir_, opts_);
-    if (on_pass_) on_pass_(report);
-    lock.lock();
-    ++passes_;
-  }
 }
 
 }  // namespace svg::store

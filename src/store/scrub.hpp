@@ -1,9 +1,9 @@
 #pragma once
-// Background scrub of data at rest (docs/ROBUSTNESS.md, "Scrubbing data
-// at rest"). The WAL frames and snapshot trailers carry CRC32C exactly so
-// that bit rot is *detectable* — but until this layer existed they were
-// only checked when the artifact was read back, i.e. during recovery,
-// which is the worst possible moment to discover a cold segment rotted.
+// Scrub of data at rest (docs/ROBUSTNESS.md, "Scrubbing data at rest").
+// The WAL frames and snapshot trailers carry CRC32C exactly so that bit
+// rot is *detectable* — but until this layer existed they were only
+// checked when the artifact was read back, i.e. during recovery, which is
+// the worst possible moment to discover a cold segment rotted.
 // scrub_directory() re-reads every artifact in a durability directory and
 // verifies every checksum proactively:
 //
@@ -24,16 +24,11 @@
 // Sealed tiered-index runs live in memory and are rebuilt from the WAL on
 // restart, so scrubbing the WAL transitively covers them.
 //
-// Scrubber wraps one directory with an optional background thread on a
-// configurable cadence — the storage twin of the cluster's probe loop.
+// A pass is one synchronous call on the caller's thread: Cluster::scrub_node
+// runs it on a node's directory, svgctl scrub and bench_repair on any.
 
 #include <cstdint>
-#include <condition_variable>
-#include <functional>
-#include <mutex>
-#include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "store/env.hpp"
@@ -70,39 +65,5 @@ struct ScrubReport {
 /// kArtifactQuarantined; bumps svg_store_scrub_*.
 [[nodiscard]] ScrubReport scrub_directory(const std::string& dir,
                                           const ScrubOptions& opts = {});
-
-/// Periodic scrubber for one durability directory. interval_ms == 0 means
-/// manual-only (no thread); otherwise a background thread runs a pass
-/// every interval. `on_pass` (optional) observes every completed report —
-/// the hook a cluster harness uses to trigger repair-from-replica.
-class Scrubber {
- public:
-  using PassHook = std::function<void(const ScrubReport&)>;
-
-  Scrubber(std::string dir, std::uint32_t interval_ms,
-           ScrubOptions opts = {}, PassHook on_pass = nullptr);
-  ~Scrubber();
-  Scrubber(const Scrubber&) = delete;
-  Scrubber& operator=(const Scrubber&) = delete;
-
-  /// Run one pass synchronously on the calling thread.
-  ScrubReport pass_now();
-
-  /// Passes completed over the scrubber's lifetime (manual + background).
-  [[nodiscard]] std::uint64_t passes() const;
-
- private:
-  void run();
-
-  std::string dir_;
-  ScrubOptions opts_;
-  PassHook on_pass_;
-  std::uint32_t interval_ms_;
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
-  bool stop_ = false;
-  std::uint64_t passes_ = 0;
-  std::thread thread_;
-};
 
 }  // namespace svg::store

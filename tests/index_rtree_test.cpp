@@ -1,6 +1,6 @@
 // R-tree correctness: queries checked against brute force over random
-// workloads, structural invariants maintained through inserts and deletes,
-// STR bulk load equivalence.
+// workloads, structural invariants maintained through every insert, shape
+// bounds, STR bulk load equivalence.
 
 #include "index/rtree.hpp"
 
@@ -61,7 +61,6 @@ TEST(RTreeTest, EmptyTreeBasics) {
   EXPECT_TRUE(tree.empty());
   EXPECT_EQ(tree.size(), 0u);
   EXPECT_TRUE(tree_query(tree, Box3{{0, 0, 0}, {1, 1, 1}}).empty());
-  EXPECT_FALSE(tree.erase(Box3{{0, 0, 0}, {1, 1, 1}}, 1));
   tree.check_invariants();
 }
 
@@ -110,34 +109,86 @@ TEST_P(RTreeRandomized, QueriesMatchBruteForce) {
   }
 }
 
-TEST_P(RTreeRandomized, DeleteHalfThenQueriesStillMatch) {
+// Guttman's insert keeps the tree valid at every step, not just at the
+// end: each descent, split and upward box repair leaves every non-root node
+// within [m, M], every cached box exact and every leaf at one depth.
+TEST_P(RTreeRandomized, InvariantsHoldAfterEveryInsert) {
   const auto [capacity, count] = GetParam();
-  RTreeOptions opts{capacity, std::max<std::size_t>(1, capacity / 3)};
-  Tree tree(opts);
-  svg::util::Xoshiro256 rng(capacity * 7919 + count);
+  Tree tree(RTreeOptions{capacity, std::max<std::size_t>(1, capacity / 3)});
+  svg::util::Xoshiro256 rng(capacity * 1000 + count + 1);
+  for (std::uint64_t i = 0; i < count; ++i) {
+    tree.insert(random_box(rng), i);
+    ASSERT_EQ(tree.size(), i + 1);
+    ASSERT_NO_THROW(tree.check_invariants()) << "after insert " << i;
+  }
+}
 
+// A query for an entry's own box finds that entry, together with exactly
+// the other entries the box intersects.
+TEST_P(RTreeRandomized, EveryEntryFindsItsOwnBox) {
+  const auto [capacity, count] = GetParam();
+  Tree tree(RTreeOptions{capacity, std::max<std::size_t>(1, capacity / 3)});
+  svg::util::Xoshiro256 rng(capacity * 1000 + count + 2);
   std::vector<std::pair<Box3, std::uint64_t>> data;
   for (std::uint64_t i = 0; i < count; ++i) {
     const Box3 b = random_box(rng);
     data.emplace_back(b, i);
     tree.insert(b, i);
   }
-  // Delete every other entry.
-  std::vector<std::pair<Box3, std::uint64_t>> kept;
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    if (i % 2 == 0) {
-      ASSERT_TRUE(tree.erase(data[i].first, data[i].second)) << i;
-    } else {
-      kept.push_back(data[i]);
-    }
+  for (const auto& [box, value] : data) {
+    const auto got = tree_query(tree, box);
+    ASSERT_TRUE(std::binary_search(got.begin(), got.end(), value))
+        << "entry " << value;
+    ASSERT_EQ(got, brute_force(data, box)) << "entry " << value;
   }
-  tree.check_invariants();
-  EXPECT_EQ(tree.size(), kept.size());
+}
 
-  for (int q = 0; q < 30; ++q) {
-    const Box3 query = random_box(rng, 100.0, 25.0);
-    ASSERT_EQ(tree_query(tree, query), brute_force(kept, query));
+// The STR packer, which lays out the tiered index's runs, answers like
+// brute force at every node capacity and keeps every node within [m, M].
+TEST_P(RTreeRandomized, BulkLoadQueriesMatchBruteForce) {
+  const auto [capacity, count] = GetParam();
+  const RTreeOptions opts{capacity, std::max<std::size_t>(1, capacity / 3)};
+  svg::util::Xoshiro256 rng(capacity * 1000 + count + 3);
+  std::vector<std::pair<Box3, std::uint64_t>> data;
+  std::vector<Tree::Entry> entries;
+  for (std::uint64_t i = 0; i < count; ++i) {
+    const Box3 b = random_box(rng);
+    data.emplace_back(b, i);
+    entries.push_back({b, i});
   }
+  const Tree tree = Tree::bulk_load(std::move(entries), opts);
+  tree.check_invariants();
+  EXPECT_EQ(tree.size(), count);
+  for (int q = 0; q < 50; ++q) {
+    const Box3 query = random_box(rng, 100.0, 20.0);
+    ASSERT_EQ(tree_query(tree, query), brute_force(data, query))
+        << "query " << q;
+  }
+}
+
+// The shape stats bound each other as an R-tree's must: a leaf holds at
+// most M entries (and, below the root, at least m), each level fans out at
+// most M ways, and every node but the root is some internal node's child.
+TEST_P(RTreeRandomized, StatsBoundTheShape) {
+  const auto [capacity, count] = GetParam();
+  const std::size_t min_fill = std::max<std::size_t>(1, capacity / 3);
+  Tree tree(RTreeOptions{capacity, min_fill});
+  svg::util::Xoshiro256 rng(capacity * 1000 + count + 4);
+  for (std::uint64_t i = 0; i < count; ++i) tree.insert(random_box(rng), i);
+
+  const auto s = tree.stats();
+  EXPECT_EQ(s.size, count);
+  ASSERT_GE(s.height, 1u);
+  double reach = 1.0;
+  for (std::size_t h = 0; h < s.height; ++h) {
+    reach *= static_cast<double>(capacity);
+  }
+  EXPECT_GE(reach, static_cast<double>(count));
+  EXPECT_GE(s.leaf_nodes * capacity, count);
+  const std::size_t below_root_leaves = s.height > 1 ? s.leaf_nodes : 0;
+  EXPECT_LE(below_root_leaves * min_fill, count);
+  EXPECT_GE(s.internal_nodes + 1, s.height);
+  EXPECT_GE(s.internal_nodes * capacity + 1, s.leaf_nodes + s.internal_nodes);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -147,45 +198,13 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(std::size_t{10}, std::size_t{100},
                                          std::size_t{1000})));
 
-TEST(RTreeTest, EraseMissingReturnsFalse) {
-  Tree tree;
-  const Box3 b{{0, 0, 0}, {1, 1, 1}};
-  tree.insert(b, 1);
-  EXPECT_FALSE(tree.erase(b, 2));                            // wrong value
-  EXPECT_FALSE(tree.erase(Box3{{5, 5, 5}, {6, 6, 6}}, 1));   // wrong box
-  EXPECT_TRUE(tree.erase(b, 1));
-  EXPECT_FALSE(tree.erase(b, 1));  // already gone
-  EXPECT_TRUE(tree.empty());
-}
-
-TEST(RTreeTest, DeleteEverythingLeavesCleanTree) {
-  Tree tree(RTreeOptions{4, 2});
-  svg::util::Xoshiro256 rng(5);
-  std::vector<std::pair<Box3, std::uint64_t>> data;
-  for (std::uint64_t i = 0; i < 200; ++i) {
-    const Box3 b = random_box(rng);
-    data.emplace_back(b, i);
-    tree.insert(b, i);
-  }
-  for (const auto& [box, value] : data) {
-    ASSERT_TRUE(tree.erase(box, value));
-    tree.check_invariants();
-  }
-  EXPECT_TRUE(tree.empty());
-  // Tree is reusable.
-  tree.insert(data[0].first, 7);
-  EXPECT_EQ(tree.size(), 1u);
-}
-
 TEST(RTreeTest, DuplicateBoxesWithDistinctValues) {
   Tree tree(RTreeOptions{4, 2});
   const Box3 b{{1, 1, 1}, {2, 2, 2}};
   for (std::uint64_t i = 0; i < 20; ++i) tree.insert(b, i);
-  EXPECT_EQ(tree_query(tree, b).size(), 20u);
-  EXPECT_TRUE(tree.erase(b, 13));
-  const auto rest = tree_query(tree, b);
-  EXPECT_EQ(rest.size(), 19u);
-  EXPECT_EQ(std::count(rest.begin(), rest.end(), 13u), 0);
+  std::vector<std::uint64_t> ids(20);
+  std::iota(ids.begin(), ids.end(), std::uint64_t{0});
+  EXPECT_EQ(tree_query(tree, b), ids);
   tree.check_invariants();
 }
 
@@ -212,18 +231,6 @@ TEST(RTreeTest, DegeneratePointBoxes) {
   }
 }
 
-TEST(RTreeTest, EarlyExitVisitorStops) {
-  Tree tree;
-  const Box3 b{{0, 0, 0}, {1, 1, 1}};
-  for (std::uint64_t i = 0; i < 100; ++i) tree.insert(b, i);
-  int seen = 0;
-  tree.query(b, [&](const Box3&, const std::uint64_t&) {
-    ++seen;
-    return seen < 5;  // stop after 5
-  });
-  EXPECT_EQ(seen, 5);
-}
-
 TEST(RTreeTest, StatsReflectStructure) {
   Tree tree(RTreeOptions{4, 2});
   svg::util::Xoshiro256 rng(7);
@@ -244,18 +251,6 @@ TEST(RTreeTest, QueryWorkCounterPopulated) {
   tree.query(Box3{{0, 0, 0}, {10, 10, 10}},
              [](const Box3&, const std::uint64_t&) {});
   EXPECT_GT(tree.stats().boxes_visited_last_query, 0u);
-}
-
-TEST(RTreeTest, BoundsCoverEverything) {
-  Tree tree;
-  svg::util::Xoshiro256 rng(9);
-  Box3 expect = Box3::empty();
-  for (std::uint64_t i = 0; i < 100; ++i) {
-    const Box3 b = random_box(rng);
-    expect.expand(b);
-    tree.insert(b, i);
-  }
-  EXPECT_EQ(tree.bounds(), expect);
 }
 
 TEST(RTreeBulkLoadTest, MatchesDynamicInsertResults) {
@@ -476,30 +471,6 @@ TEST(RTreeStrOrderTest, BulkLoadVisitsInReferenceLeafOrder) {
       }
     }
   }
-}
-
-TEST(RTreeTest, MixedInsertEraseStressWithInvariants) {
-  Tree tree(RTreeOptions{6, 3});
-  svg::util::Xoshiro256 rng(12);
-  std::vector<std::pair<Box3, std::uint64_t>> live;
-  std::uint64_t next_id = 0;
-  for (int round = 0; round < 2000; ++round) {
-    if (live.empty() || rng.chance(0.6)) {
-      const Box3 b = random_box(rng);
-      tree.insert(b, next_id);
-      live.emplace_back(b, next_id);
-      ++next_id;
-    } else {
-      const std::size_t pick = rng.bounded(live.size());
-      ASSERT_TRUE(tree.erase(live[pick].first, live[pick].second));
-      live.erase(live.begin() + static_cast<long>(pick));
-    }
-    if (round % 100 == 0) tree.check_invariants();
-  }
-  tree.check_invariants();
-  EXPECT_EQ(tree.size(), live.size());
-  const Box3 everything{{-1, -1, -1}, {200, 200, 200}};
-  EXPECT_EQ(tree_query(tree, everything).size(), live.size());
 }
 
 }  // namespace

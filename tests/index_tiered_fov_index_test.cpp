@@ -131,6 +131,200 @@ TEST(TieredFovIndexTest, InsertBatchMatchesIndividualInserts) {
   batched.check_invariants();
 }
 
+/// The same identities in stored order.
+std::vector<std::pair<std::uint64_t, std::uint32_t>> in_order(
+    const std::vector<RepresentativeFov>& v) {
+  std::vector<std::pair<std::uint64_t, std::uint32_t>> out;
+  out.reserve(v.size());
+  for (const auto& r : v) out.emplace_back(r.video_id, r.segment_id);
+  return out;
+}
+
+// Parameterized over the memtable capacity: the clamp floor (16, also the
+// default block size), one past it, and capacities that do (64) and do not
+// (50, 100, 255) fill whole 16-row blocks.
+class TieredCapacity : public ::testing::TestWithParam<std::size_t> {};
+
+// One insert is a batch of one: single inserts, one whole batch and
+// random-sized chunks seal at the same rows and build the same runs, in
+// the same stored order.
+TEST_P(TieredCapacity, SingleInsertsSealLikeAnyBatching) {
+  const std::size_t cap = GetParam();
+  svg::util::Xoshiro256 rng(cap);
+  std::vector<RepresentativeFov> reps;
+  for (std::size_t i = 0; i < 7 * cap + cap / 2; ++i) {
+    reps.push_back(random_rep(rng));
+  }
+  TieredFovIndex single({.memtable_capacity = cap});
+  for (const auto& r : reps) single.insert(r);
+  TieredFovIndex whole({.memtable_capacity = cap});
+  whole.insert_batch(reps);
+  TieredFovIndex chunked({.memtable_capacity = cap});
+  for (std::size_t i = 0; i < reps.size();) {
+    const std::size_t n = std::min<std::size_t>(
+        reps.size() - i, 1 + rng.bounded(2 * cap));
+    chunked.insert_batch({reps.data() + i, n});
+    i += n;
+  }
+
+  const auto expect = single.run_stats();
+  EXPECT_EQ(expect.seals, 7u);
+  EXPECT_EQ(expect.memtable_rows, cap / 2);
+  ASSERT_EQ(expect.runs.size(), 7u);
+  const auto expect_order = in_order(single.snapshot());
+  for (const TieredFovIndex* idx : {&whole, &chunked}) {
+    const auto got = idx->run_stats();
+    EXPECT_EQ(got.seals, expect.seals);
+    EXPECT_EQ(got.memtable_rows, expect.memtable_rows);
+    ASSERT_EQ(got.runs.size(), expect.runs.size());
+    for (std::size_t r = 0; r < got.runs.size(); ++r) {
+      EXPECT_EQ(got.runs[r].rows, cap);
+      EXPECT_EQ(got.runs[r].rows, expect.runs[r].rows);
+      EXPECT_EQ(got.runs[r].ts_min, expect.runs[r].ts_min);
+      EXPECT_EQ(got.runs[r].ts_max, expect.runs[r].ts_max);
+    }
+    EXPECT_EQ(idx->size(), reps.size());
+    EXPECT_EQ(in_order(idx->snapshot()), expect_order);
+    idx->check_invariants();
+  }
+}
+
+// seal_now and the size trigger share one seal: a forced seal between
+// inserts starts a fresh memtable, an empty memtable never seals, and no
+// row is lost or doubled on its way into the runs.
+TEST_P(TieredCapacity, SealNowBetweenInsertsKeepsEveryRow) {
+  const std::size_t cap = GetParam();
+  svg::util::Xoshiro256 rng(cap + 1);
+  FovIndex plain;
+  TieredFovIndex tiered({.memtable_capacity = cap});
+  std::uint64_t seals = 0;
+  std::size_t memtable = 0;
+  for (int step = 0; step < 600; ++step) {
+    if (rng.bounded(20) == 0) {
+      ASSERT_EQ(tiered.seal_now(), memtable > 0) << "step " << step;
+      if (memtable > 0) ++seals;
+      memtable = 0;
+    } else {
+      const auto rep = random_rep(rng);
+      plain.insert(rep);
+      tiered.insert(rep);
+      if (++memtable == cap) {
+        ++seals;
+        memtable = 0;
+      }
+    }
+    const auto s = tiered.run_stats();
+    ASSERT_EQ(s.seals, seals) << "step " << step;
+    ASSERT_EQ(s.memtable_rows, memtable) << "step " << step;
+    std::size_t rows = s.memtable_rows + s.sealing_rows;
+    for (const auto& run : s.runs) rows += run.rows;
+    ASSERT_EQ(rows, plain.size()) << "step " << step;
+  }
+  EXPECT_EQ(tiered.size(), plain.size());
+  EXPECT_EQ(keys(tiered.snapshot()), keys(plain.snapshot()));
+  for (int q = 0; q < 30; ++q) {
+    const auto range = random_range(rng);
+    EXPECT_EQ(keys(plain.query_collect(range)),
+              keys(tiered.query_collect(range)));
+  }
+  tiered.check_invariants();
+}
+
+// Five full memtables and a partial one, merged down: a full compaction
+// takes every run, holds each sealed row once under tight time bounds,
+// leaves the memtable alone, and answers like the plain index.
+TEST_P(TieredCapacity, FullCompactionMergesEverySealedRow) {
+  const std::size_t cap = GetParam();
+  svg::util::Xoshiro256 rng(cap + 2);
+  FovIndex plain;
+  TieredFovIndex tiered({.memtable_capacity = cap});
+  std::vector<RepresentativeFov> reps;
+  for (std::size_t i = 0; i < 5 * cap + 3; ++i) {
+    reps.push_back(random_rep(rng));
+    plain.insert(reps.back());
+    tiered.insert(reps.back());
+  }
+  const auto before = tiered.run_stats();
+  ASSERT_EQ(before.runs.size(), 5u);
+  for (const auto& run : before.runs) EXPECT_EQ(run.rows, cap);
+  EXPECT_EQ(before.memtable_rows, 3u);
+
+  EXPECT_EQ(tiered.compact_now(/*full=*/true), 5u);
+  const auto after = tiered.run_stats();
+  ASSERT_EQ(after.runs.size(), 1u);
+  EXPECT_EQ(after.runs[0].rows, 5 * cap);
+  EXPECT_EQ(after.memtable_rows, 3u);
+  EXPECT_EQ(after.seals, 5u);
+  EXPECT_EQ(after.compactions, 1u);
+  TimestampMs lo = reps[0].t_start, hi = reps[0].t_end;
+  for (std::size_t i = 0; i < 5 * cap; ++i) {
+    lo = std::min(lo, reps[i].t_start);
+    hi = std::max(hi, reps[i].t_end);
+  }
+  EXPECT_EQ(after.runs[0].ts_min, lo);
+  EXPECT_EQ(after.runs[0].ts_max, hi);
+  // One run left: nothing more to merge.
+  EXPECT_EQ(tiered.compact_now(/*full=*/true), 0u);
+
+  EXPECT_EQ(tiered.size(), reps.size());
+  EXPECT_EQ(keys(tiered.snapshot()), keys(plain.snapshot()));
+  for (int q = 0; q < 30; ++q) {
+    const auto range = random_range(rng);
+    EXPECT_EQ(keys(plain.query_collect(range)),
+              keys(tiered.query_collect(range)));
+  }
+  tiered.check_invariants();
+}
+
+// A background round (compact_now without `full`) waits for compact_fanin
+// runs, merges exactly the smallest compact_fanin of them, and appends the
+// merged run after the survivors.
+TEST_P(TieredCapacity, CompactionRoundMergesTheSmallestFaninRuns) {
+  const std::size_t cap = GetParam();
+  svg::util::Xoshiro256 rng(cap + 3);
+  FovIndex plain;
+  TieredFovIndex tiered({.memtable_capacity = cap, .compact_fanin = 4});
+  const auto insert_rows = [&](std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto rep = random_rep(rng);
+      plain.insert(rep);
+      tiered.insert(rep);
+    }
+  };
+  const auto run_rows = [&] {
+    std::vector<std::size_t> rows;
+    for (const auto& run : tiered.run_stats().runs) rows.push_back(run.rows);
+    return rows;
+  };
+
+  insert_rows(3 * cap);
+  EXPECT_EQ(tiered.compact_now(), 0u);  // three runs: below the fan-in
+  insert_rows(3 * cap);
+  EXPECT_EQ(tiered.compact_now(), 4u);
+  EXPECT_EQ(run_rows(), (std::vector<std::size_t>{cap, cap, 4 * cap}));
+  EXPECT_EQ(tiered.compact_now(), 0u);  // three runs again
+  insert_rows(cap);
+  // Four runs: the two small ones, the merged one, the new one; all merge.
+  EXPECT_EQ(tiered.compact_now(), 4u);
+  EXPECT_EQ(run_rows(), (std::vector<std::size_t>{7 * cap}));
+  EXPECT_EQ(tiered.run_stats().compactions, 2u);
+
+  EXPECT_EQ(tiered.size(), 7 * cap);
+  EXPECT_EQ(keys(tiered.snapshot()), keys(plain.snapshot()));
+  for (int q = 0; q < 30; ++q) {
+    const auto range = random_range(rng);
+    EXPECT_EQ(keys(plain.query_collect(range)),
+              keys(tiered.query_collect(range)));
+  }
+  tiered.check_invariants();
+}
+
+INSTANTIATE_TEST_SUITE_P(MemtableCapacity, TieredCapacity,
+                         ::testing::Values(std::size_t{16}, std::size_t{17},
+                                           std::size_t{50}, std::size_t{64},
+                                           std::size_t{100},
+                                           std::size_t{255}));
+
 // A query whose time window misses a run's [ts_min, ts_max] must skip it
 // without touching a node — visible through svg_index_run_time_pruned.
 TEST(TieredFovIndexTest, TightTimeWindowsSkipWholeRuns) {

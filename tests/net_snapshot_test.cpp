@@ -324,19 +324,4 @@ TEST(SnapshotFileTest, ServerLoadMissingSnapshotFails) {
   EXPECT_EQ(server.indexed_segments(), 0u);
 }
 
-TEST(SnapshotFileTest, SnapshotExcludesErasedEntries) {
-  const auto reps = sample_reps(10, 5);
-  svg::index::FovIndex idx;
-  std::vector<svg::index::FovHandle> handles;
-  for (const auto& r : reps) handles.push_back(idx.insert(r));
-  idx.erase(handles[3]);
-  idx.erase(handles[7]);
-  const auto snap = idx.snapshot();
-  EXPECT_EQ(snap.size(), 8u);
-  for (const auto& r : snap) {
-    EXPECT_NE(r.video_id, reps[3].video_id);
-    EXPECT_NE(r.video_id, reps[7].video_id);
-  }
-}
-
 }  // namespace

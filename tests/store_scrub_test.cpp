@@ -1,4 +1,4 @@
-// Background scrub of data at rest (store/scrub.hpp): a healthy
+// Scrub of data at rest (store/scrub.hpp): a healthy
 // directory scrubs clean, every seeded bit flip in a cold artifact is
 // detected and quarantined (and the quarantine rename hides the artifact
 // from the WAL/recovery listings), torn tails on the live segment are
@@ -260,21 +260,6 @@ TEST(ScrubTest, FaultyEnvBitFlipIsSilentAndDeterministic) {
   EXPECT_FALSE(report.clean());
   // The disk itself still scrubs clean.
   EXPECT_TRUE(scrub_directory(dir.path).clean());
-}
-
-TEST(ScrubTest, ScrubberBackgroundThreadRunsPasses) {
-  ScopedDir dir("bg");
-  fill_durable_dir(dir.path, 5, 8);
-  std::atomic<std::uint64_t> hooked{0};
-  Scrubber scrubber(dir.path, 5, {},
-                    [&](const ScrubReport& r) { hooked += r.clean() ? 1 : 0; });
-  const ScrubReport manual = scrubber.pass_now();
-  EXPECT_TRUE(manual.clean());
-  for (int i = 0; i < 400 && scrubber.passes() < 3; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  EXPECT_GE(scrubber.passes(), 3u);
-  EXPECT_GE(hooked.load(), 1u);
 }
 
 TEST(ScrubTest, ClusterBitRotQuarantineRestoreCycle) {
